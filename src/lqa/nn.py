@@ -31,8 +31,6 @@ __all__ = [
     "build_logreg",
     "build_mlp",
     "build_lenet5",
-    "flatten_params",
-    "unflatten_params",
     "init_params",
     "make_loss_probe",
 ]
@@ -299,16 +297,6 @@ def backward(model, batch, params):
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("backward pass produced a non-finite gradient")
     return loss, grad
-
-
-def flatten_params(model):
-    """Copy of all model parameters as one flat vector (documented fixed order)."""
-    return model.get_params()
-
-
-def unflatten_params(model, vec):
-    """Write a flat vector back into the model's layer tensors (lossless inverse)."""
-    model.set_params(np.asarray(vec, dtype=np.float64))
 
 
 def init_params(model, rng, scheme="default"):

@@ -1,12 +1,17 @@
-"""Seven optimizers behind one functional contract.
+"""Seven optimizers: six baselines that update in place and one estimated rate.
 
 The six baselines (SGD, momentum, Nesterov, AdaGrad, RMSProp, Adam) are the
-canonical recurrences with the usual defaults. The seventh picks its learning
-rate per batch step: it models the batch loss along the gradient direction as
-a quadratic in the step size, estimates the two coefficients from the loss at
-params -+ delta0*grad (two extra forward passes, no second derivatives), and
-steps with the minimizer a/(2b). Degenerate fits fall back to the previous
-rate instead of failing.
+canonical recurrences with the usual defaults. `make_baseline` returns a
+`Baseline` whose `step(params, grad)` overwrites `params` with the updated
+vector and returns that same array, so callers must own the vector they pass.
+
+The seventh picks its learning rate per batch step: it models the batch loss
+along the gradient direction as a quadratic in the step size, estimates the
+two coefficients from the loss at params -+ delta0*grad (two extra forward
+passes, no second derivatives), and steps with the minimizer a/(2b).
+Degenerate fits fall back to the previous rate instead of failing.
+`lqa_step` is out-of-place: it returns new parameters and a new state and
+leaves its inputs untouched.
 
 Sign convention, fixed once: probe(s) evaluates the loss at params - s*grad,
 so the probe at -delta0 is the "uphill" point params + delta0*grad. With that
@@ -27,16 +32,7 @@ __all__ = [
     "Verdict",
     "LqaState",
     "LqaCoefficients",
-    "sgd_step",
-    "sgdm_step",
-    "sgdnag_step",
-    "adagrad_step",
-    "rmsprop_step",
-    "adam_step",
-    "MomentumState",
-    "AdaGradState",
-    "RmsPropState",
-    "AdamState",
+    "Baseline",
     "lqa_estimate_coefficients",
     "lqa_solve",
     "lqa_step",
@@ -54,87 +50,17 @@ def _check_grad(grad):
 # ---------------------------------------------------------------------------
 
 
-def sgd_step(params, grad, lr):
-    """params - lr * grad."""
-    if lr < 0.0:
-        raise ValueError("lr must be non-negative")
-    _check_grad(grad)
-    return params - lr * grad
-
-
-@dataclass
-class MomentumState:
-    velocity: np.ndarray
-
-
-def sgdm_step(params, grad, lr, mu, state):
-    """Heavy-ball momentum: v <- mu*v + grad, step -lr*v."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
-    _check_grad(grad)
-    v = mu * state.velocity + grad
-    return params - lr * v, MomentumState(v)
-
-
-def sgdnag_step(params, grad, lr, mu, state):
-    """Nesterov look-ahead: v <- mu*v + grad, step -lr*(grad + mu*v)."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
-    _check_grad(grad)
-    v = mu * state.velocity + grad
-    return params - lr * (grad + mu * v), MomentumState(v)
-
-
-@dataclass
-class AdaGradState:
-    accum: np.ndarray
-
-
-def adagrad_step(params, grad, lr, state, eps=1e-8):
-    """G += g^2, step -lr * g / (sqrt(G) + eps)."""
-    _check_grad(grad)
-    G = state.accum + grad * grad
-    return params - lr * grad / (np.sqrt(G) + eps), AdaGradState(G)
-
-
-@dataclass
-class RmsPropState:
-    mean_square: np.ndarray
-
-
-def rmsprop_step(params, grad, lr, state, rho=0.9, eps=1e-8):
-    """G <- rho*G + (1-rho)*g^2, step -lr * g / (sqrt(G) + eps)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must be in [0, 1)")
-    _check_grad(grad)
-    G = rho * state.mean_square + (1.0 - rho) * grad * grad
-    return params - lr * grad / (np.sqrt(G) + eps), RmsPropState(G)
-
-
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def adam_step(params, grad, lr, state, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam with the standard (0.9, 0.999, 1e-8) defaults."""
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("betas must be in [0, 1)")
-    _check_grad(grad)
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
-
-
-class _BaselineRunner:
-    """Holds one baseline's hyperparameters and accumulator between steps."""
+class Baseline:
+    """One baseline optimizer: its hyperparameters and accumulators between steps."""
 
     def __init__(self, name, lr, dim, mu=0.9, rho=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
+        if name not in ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam"):
+            raise ValueError(f"unknown optimizer {name!r}")
+        if not lr >= 0.0:
+            raise ValueError("lr must be non-negative")
+        for what, value in (("momentum", mu), ("rho", rho), ("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{what} must be in [0, 1)")
         self.name = name
         self.lr = lr
         self.mu = mu
@@ -142,41 +68,63 @@ class _BaselineRunner:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        z = np.zeros(dim, dtype=np.float64)
-        if name in ("sgd-m", "sgd-nag"):
-            self.state = MomentumState(z)
-        elif name == "adagrad":
-            self.state = AdaGradState(z)
-        elif name == "rmsprop":
-            self.state = RmsPropState(z)
-        elif name == "adam":
-            self.state = AdamState(z, z.copy())
-        elif name == "sgd":
-            self.state = None
-        else:
-            raise ValueError(f"unknown optimizer {name!r}")
+        # velocity (momentum), sum or mean of squares (AdaGrad, RMSProp), first moment (Adam)
+        self.acc = None if name == "sgd" else np.zeros(dim, dtype=np.float64)
+        if name == "adam":
+            self.v = np.zeros(dim, dtype=np.float64)
+            self.t = 0
+            # scratch for Adam's update, which would otherwise allocate
+            # several parameter-sized temporaries per step
+            self._work = np.empty(dim, dtype=np.float64)
+            self._denom = np.empty(dim, dtype=np.float64)
 
     def step(self, params, grad):
-        if self.name == "sgd":
-            return sgd_step(params, grad, self.lr)
-        if self.name == "sgd-m":
-            out, self.state = sgdm_step(params, grad, self.lr, self.mu, self.state)
-        elif self.name == "sgd-nag":
-            out, self.state = sgdnag_step(params, grad, self.lr, self.mu, self.state)
-        elif self.name == "adagrad":
-            out, self.state = adagrad_step(params, grad, self.lr, self.state, self.eps)
-        elif self.name == "rmsprop":
-            out, self.state = rmsprop_step(params, grad, self.lr, self.state, self.rho, self.eps)
+        """Update `params` in place from `grad` and return `params` itself.
+
+        Raises NonFiniteError, leaving `params` and the accumulators untouched,
+        if `grad` holds NaN or Inf.
+        """
+        _check_grad(grad)
+        name, lr, acc = self.name, self.lr, self.acc
+        if name == "sgd":
+            params -= lr * grad
+        elif name in ("sgd-m", "sgd-nag"):
+            acc *= self.mu
+            acc += grad
+            params -= lr * (grad + self.mu * acc) if name == "sgd-nag" else lr * acc
+        elif name == "adagrad":
+            acc += grad * grad
+            params -= lr * grad / (np.sqrt(acc) + self.eps)
+        elif name == "rmsprop":
+            acc *= self.rho
+            acc += (1.0 - self.rho) * grad * grad
+            params -= lr * grad / (np.sqrt(acc) + self.eps)
         else:
-            out, self.state = adam_step(
-                params, grad, self.lr, self.state, self.beta1, self.beta2, self.eps
-            )
-        return out
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # params -= lr*m_hat / (sqrt(v_hat) + eps), each operation in that
+            # order so the result is bitwise that of the out-of-place form
+            b1, b2, v, work, denom = self.beta1, self.beta2, self.v, self._work, self._denom
+            self.t += 1
+            acc *= b1
+            np.multiply(1.0 - b1, grad, out=work)
+            acc += work
+            v *= b2
+            np.multiply(1.0 - b2, grad, out=work)
+            work *= grad
+            v += work
+            np.divide(acc, 1.0 - b1**self.t, out=work)
+            work *= lr
+            np.divide(v, 1.0 - b2**self.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            work /= denom
+            params -= work
+        return params
 
 
 def make_baseline(name, lr, dim, **hyper):
-    """A stateful stepper for one of the six baseline optimizers."""
-    return _BaselineRunner(name, lr, dim, **hyper)
+    """A stateful in-place stepper for one of the six baseline optimizers."""
+    return Baseline(name, lr, dim, **hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +170,10 @@ class LqaState:
 
 @dataclass
 class LqaCoefficients:
-    """Estimated quadratic model -a*s + b*s^2 of the loss change and its minimizer."""
+    """Estimated quadratic model -a*s + b*s^2 of the loss change along the ray."""
 
     a_tilde: float
     b_tilde: float
-    delta_star: float = math.nan
-    predicted_reduction: float = math.nan
 
 
 def lqa_solve(coeffs, state):
@@ -253,14 +199,13 @@ def lqa_solve(coeffs, state):
     return clamped, Verdict.ACCEPTED if clamped == raw else Verdict.CLAMPED
 
 
-def lqa_estimate_coefficients(loss0, probe, delta0, state=None):
+def lqa_estimate_coefficients(loss0, probe, delta0):
     """Central-difference estimates of the ray model's two coefficients.
 
     With probe(s) = loss at params - s*grad:
         a = [probe(-delta0) - probe(+delta0)] / (2*delta0)
         b = [probe(-delta0) + probe(+delta0) - 2*loss0] / (2*delta0^2)
-    delta_star and the predicted loss change are filled in via lqa_solve
-    (default safeguards if no state is given).
+    Any positive delta0 is legal; lqa_solve turns the estimates into a rate.
     """
     if not delta0 > 0.0:
         raise ValueError("delta0 must be positive")
@@ -270,14 +215,7 @@ def lqa_estimate_coefficients(loss0, probe, delta0, state=None):
         raise NonFiniteError("probe returned a non-finite loss")
     a = (loss_up - loss_down) / (2.0 * delta0)
     b = (loss_up + loss_down - 2.0 * loss0) / (2.0 * delta0 * delta0)
-    coeffs = LqaCoefficients(a, b)
-    st = state
-    if st is None:  # default safeguards, widened so any positive delta0 is legal
-        st = LqaState(delta0=delta0, delta_min=min(1e-6, delta0), delta_max=max(10.0, delta0))
-    delta_star, _ = lqa_solve(coeffs, st)
-    coeffs.delta_star = delta_star
-    coeffs.predicted_reduction = -a * delta_star + b * delta_star * delta_star
-    return coeffs
+    return LqaCoefficients(a, b)
 
 
 def lqa_step(params, grad, probe, state):
@@ -285,16 +223,18 @@ def lqa_step(params, grad, probe, state):
 
     Probes the loss at params -+ delta0*grad, solves for the rate, steps
     params - rate*grad, and chains the solved rate into the next step's probe
-    radius. Returns (new_params, new_state); the passed state is not touched.
+    radius. Returns (new_params, new_state); the passed params and state are
+    not touched.
     """
     _check_grad(grad)
     loss0 = probe(0.0)
     if not math.isfinite(loss0):
         raise NonFiniteError("probe(0) returned a non-finite loss")
-    coeffs = lqa_estimate_coefficients(loss0, probe, state.delta0, state)
-    delta_star, verdict = lqa_solve(coeffs, state)
-    new_params = params - delta_star * grad
+    coeffs = lqa_estimate_coefficients(loss0, probe, state.delta0)
+    # lqa_solve returns a rate inside [delta_min, delta_max] or state.delta0,
+    # which LqaState keeps in that box, so it chains without another clamp
+    rate, verdict = lqa_solve(coeffs, state)
+    new_params = params - rate * grad
     if not np.all(np.isfinite(new_params)):
         raise NonFiniteError("update produced non-finite parameters")
-    chained = min(max(delta_star, state.delta_min), state.delta_max)
-    return new_params, replace(state, delta0=chained, last_verdict=verdict)
+    return new_params, replace(state, delta0=rate, last_verdict=verdict)

@@ -18,7 +18,6 @@ __all__ = [
     "quad_optimal_step",
     "ray_probe",
     "finite_diff_grad",
-    "jacobi_eigenvalues",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -118,33 +117,3 @@ def finite_diff_grad(loss_fn, theta, h=1e-5):
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
-
-def jacobi_eigenvalues(A, tol=1e-12, max_sweeps=100):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations, ascending."""
-    A = np.array(A, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    if n == 1:
-        return A.ravel().copy()
-    scale = max(1.0, float(np.abs(A).max()))
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-                if abs(A[p, q]) <= tol * scale:
-                    continue
-                # rotation angle that zeroes A[p, q]
-                beta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                sgn = 1.0 if beta >= 0.0 else -1.0
-                t = sgn / (abs(beta) + np.hypot(1.0, beta))
-                cos = 1.0 / np.hypot(1.0, t)
-                sin = t * cos
-                rot_p = cos * A[:, p] - sin * A[:, q]
-                rot_q = sin * A[:, p] + cos * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = cos * A[p, :] - sin * A[q, :]
-                rot_q = sin * A[p, :] + cos * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-        if off <= tol * scale:
-            break
-    return np.sort(np.diag(A))

@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a deterministic, platform-independent random source.
+"""A checked float64 dot product and a deterministic, platform-independent random source.
 
 A "tensor" throughout this package is a C-contiguous ``numpy.ndarray`` of
 64-bit floats. 64-bit precision is not negotiable: the optimizer estimates a
@@ -14,10 +14,6 @@ __all__ = [
     "NonFiniteError",
     "Rng",
     "derive_seed",
-    "tensor",
-    "zeros",
-    "matmul",
-    "axpy",
     "dot",
     "rng_uniform",
 ]
@@ -25,54 +21,6 @@ __all__ = [
 
 class NonFiniteError(ValueError):
     """A numeric operation produced (or was handed) NaN or Inf."""
-
-
-def tensor(values, shape=None):
-    """Materialize values as a C-contiguous float64 array.
-
-    Raises NonFiniteError if any element is NaN/Inf, ValueError if an explicit
-    `shape` does not match the element count.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(f"cannot view {arr.size} elements as shape {tuple(shape)}")
-        arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("tensor contains NaN or Inf")
-    return arr
-
-
-def zeros(shape):
-    return np.zeros(shape, dtype=np.float64)
-
-
-def matmul(a, b):
-    """Matrix product of a 2-D (m,k) by a 2-D (k,n) tensor."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner extents differ: {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # surfaced as an error below
-        out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("matmul produced NaN or Inf")
-    return out
-
-
-def axpy(alpha, x, y):
-    """Elementwise y + alpha*x for same-shaped tensors (the update-rule kernel)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = y + float(alpha) * x
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("axpy produced NaN or Inf")
-    return out
 
 
 def dot(x, y):

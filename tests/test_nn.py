@@ -66,9 +66,9 @@ def test_forward_loss_is_parameter_pure():
     rng = Rng(3)
     nn.init_params(model, rng)
     batch = toy_batch(rng, 5, (6,), 3)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     assert nn.forward_loss(model, batch, params) == nn.forward_loss(model, batch, params)
-    assert np.array_equal(nn.flatten_params(model), params)
+    assert np.array_equal(model.get_params(), params)
 
 
 def test_empty_batch_rejected():
@@ -103,7 +103,7 @@ def test_logreg_gradient_matches_closed_form():
     y = np.array([1, 0])
     model = nn.build_logreg(3, 2)
     nn.init_params(model, rng)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     _, grad = nn.backward(model, batch := Batch(np.arange(2), x, y), params)
 
     W = params[:6].reshape(3, 2)
@@ -181,7 +181,7 @@ def test_model_backward_matches_finite_differences(build, input_shape, classes):
     model = build()
     nn.init_params(model, rng)
     batch = toy_batch(rng, 6, input_shape, classes)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     _, analytic = nn.backward(model, batch, params)
     fd = finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params)
     assert rel_err(analytic, fd) < 1e-4
@@ -274,22 +274,22 @@ def test_flatten_round_trip():
     model = nn.build_mlp(5, 4, 3)
     rng = Rng(13)
     nn.init_params(model, rng)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     assert params.shape == (model.param_count,)
-    nn.unflatten_params(model, np.zeros_like(params))
-    nn.unflatten_params(model, params)
-    assert np.array_equal(nn.flatten_params(model), params)
+    model.set_params(np.zeros_like(params))
+    model.set_params(params)
+    assert np.array_equal(model.get_params(), params)
 
 
 def test_single_flat_index_touches_single_weight():
     model = nn.build_logreg(3, 2)  # 8 parameters, exhaustive
     base = rng_uniform(Rng(4), (model.param_count,), -1.0, 1.0)
     for i in range(model.param_count):
-        nn.unflatten_params(model, base)
+        model.set_params(base)
         before = [p.copy() for layer in model.layers for p in layer.params]
         bumped = base.copy()
         bumped[i] += 1.0
-        nn.unflatten_params(model, bumped)
+        model.set_params(bumped)
         after = [p for layer in model.layers for p in layer.params]
         changed = sum(int((b != a).sum()) for b, a in zip(before, after))
         assert changed == 1
@@ -300,9 +300,9 @@ def test_init_is_seed_deterministic_and_zero_mode_zeroes():
     m2 = nn.build_mlp(6, 4, 3)
     nn.init_params(m1, Rng(5))
     nn.init_params(m2, Rng(5))
-    assert np.array_equal(nn.flatten_params(m1), nn.flatten_params(m2))
+    assert np.array_equal(m1.get_params(), m2.get_params())
     nn.init_params(m1, Rng(5), scheme="zeros")
-    assert not nn.flatten_params(m1).any()
+    assert not m1.get_params().any()
     with pytest.raises(ValueError):
         nn.init_params(m1, Rng(5), scheme="he")
 
@@ -325,7 +325,7 @@ def test_probe_returns_cached_loss_at_zero_and_counts_evals():
     rng = Rng(9)
     nn.init_params(model, rng)
     batch = toy_batch(rng, 8, (4,), 3)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     loss0, grad = nn.backward(model, batch, params)
     params_before = params.copy()
     grad_before = grad.copy()

@@ -7,109 +7,154 @@ import pytest
 from lqa import nn
 from lqa.data import Batch, synthetic_quadratic
 from lqa.optim import (
-    AdaGradState,
-    AdamState,
     LqaCoefficients,
     LqaState,
-    MomentumState,
-    RmsPropState,
     Verdict,
-    adagrad_step,
-    adam_step,
     lqa_estimate_coefficients,
     lqa_solve,
     lqa_step,
     make_baseline,
-    rmsprop_step,
-    sgd_step,
-    sgdm_step,
-    sgdnag_step,
 )
 from lqa.oracle import quad_loss_grad, quad_optimal_step, ray_probe
-from lqa.tensor import NonFiniteError, Rng, axpy, dot, rng_uniform
+from lqa.tensor import NonFiniteError, Rng, dot, rng_uniform
+
+BASELINES = ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam")
 
 
 # --- baselines ---------------------------------------------------------------
 
 
+def out_of_place_baseline(name, lr, dim, mu=0.9, rho=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook recurrence for one baseline, each step returning a new vector.
+
+    This is the reference the in-place steppers must match bit for bit, so
+    every expression keeps the evaluation order written here.
+    """
+    acc, second, t = np.zeros(dim), np.zeros(dim), 0
+
+    def step(p, g):
+        nonlocal acc, second, t
+        if name == "sgd":
+            return p - lr * g
+        if name in ("sgd-m", "sgd-nag"):
+            acc = mu * acc + g
+            return p - lr * (g + mu * acc) if name == "sgd-nag" else p - lr * acc
+        if name == "adagrad":
+            acc = acc + g * g
+            return p - lr * g / (np.sqrt(acc) + eps)
+        if name == "rmsprop":
+            acc = rho * acc + (1.0 - rho) * g * g
+            return p - lr * g / (np.sqrt(acc) + eps)
+        t += 1
+        acc = beta1 * acc + (1.0 - beta1) * g
+        second = beta2 * second + (1.0 - beta2) * g * g
+        m_hat = acc / (1.0 - beta1**t)
+        v_hat = second / (1.0 - beta2**t)
+        return p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    return step
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_in_place_step_matches_out_of_place_recurrence_bitwise(name):
+    rng = Rng(41)
+    params = rng_uniform(rng, (257,), -1.0, 1.0)
+    expected = params.copy()
+    stepper = make_baseline(name, 0.01, params.size)
+    reference = out_of_place_baseline(name, 0.01, params.size)
+    for i in range(50):
+        g = rng_uniform(rng, (257,), -1.0, 1.0) * 10.0 ** (i % 5 - 2)
+        assert stepper.step(params, g) is params
+        expected = reference(expected, g)
+        assert np.array_equal(params, expected), f"step {i + 1}"
+
+
 def test_sgd_zero_lr_is_identity():
     p = np.array([1.0, 2.0])
-    assert np.array_equal(sgd_step(p, np.array([3.0, -1.0]), 0.0), p)
+    out = make_baseline("sgd", 0.0, 2).step(p.copy(), np.array([3.0, -1.0]))
+    assert np.array_equal(out, p)
 
 
 def test_sgd_by_hand_and_axpy_equivalence():
     p = np.array([1.0, 1.0])
     g = np.array([1.0, 4.0])
-    out = sgd_step(p, g, 0.1)
+    out = make_baseline("sgd", 0.1, 2).step(p.copy(), g)
     assert np.allclose(out, [0.9, 0.6], atol=1e-15)
-    assert np.array_equal(out, axpy(-0.1, g, p))
+    assert np.array_equal(out, p - 0.1 * g)
+    assert np.array_equal(out, p + -0.1 * g)  # the axpy form y + alpha*x
 
 
 def test_sgd_rejects_nonfinite_grad():
-    with pytest.raises(NonFiniteError):
-        sgd_step(np.zeros(2), np.array([np.nan, 0.0]), 0.1)
+    for name in BASELINES:
+        stepper = make_baseline(name, 0.1, 2)
+        p = np.zeros(2)
+        with pytest.raises(NonFiniteError):
+            stepper.step(p, np.array([np.nan, 0.0]))
+        assert not p.any()  # a rejected gradient leaves params untouched
 
 
 def test_momentum_two_step_displacement():
     # constant gradient: v goes 1, 1.9 -> total step -0.1*(1 + 1.9)
     p = np.array([0.0])
     g = np.array([1.0])
-    state = MomentumState(np.zeros(1))
-    p, state = sgdm_step(p, g, 0.1, 0.9, state)
-    p, state = sgdm_step(p, g, 0.1, 0.9, state)
+    stepper = make_baseline("sgd-m", 0.1, 1, mu=0.9)
+    stepper.step(p, g)
+    stepper.step(p, g)
     assert abs(p[0] + 0.29) < 1e-15
 
 
-@pytest.mark.parametrize("step_fn", [sgdm_step, sgdnag_step])
-def test_zero_momentum_reduces_to_sgd_bitwise(step_fn):
+@pytest.mark.parametrize("name", ["sgd-m", "sgd-nag"])
+def test_zero_momentum_reduces_to_sgd_bitwise(name):
     rng = Rng(10)
     p_m = rng_uniform(rng, (20,), -1.0, 1.0)
     p_s = p_m.copy()
-    state = MomentumState(np.zeros(20))
+    momentum = make_baseline(name, 0.05, 20, mu=0.0)
+    sgd = make_baseline("sgd", 0.05, 20)
     for i in range(100):
         g = rng_uniform(rng, (20,), -1.0, 1.0)
-        p_m, state = step_fn(p_m, g, 0.05, 0.0, state)
-        p_s = sgd_step(p_s, g, 0.05)
+        momentum.step(p_m, g)
+        sgd.step(p_s, g)
         assert np.array_equal(p_m, p_s)
 
 
 def test_nag_lookahead_form():
     # one step from rest: v = g, update -lr*(g + mu*v)
     g = np.array([2.0])
-    p, _ = sgdnag_step(np.zeros(1), g, 0.1, 0.9, MomentumState(np.zeros(1)))
+    p = make_baseline("sgd-nag", 0.1, 1, mu=0.9).step(np.zeros(1), g)
     assert abs(p[0] - (-0.1 * (2.0 + 0.9 * 2.0))) < 1e-15
 
 
 def test_adagrad_hand_unrolled():
     p = np.array([0.0])
     g = np.array([3.0])
-    state = AdaGradState(np.zeros(1))
-    p, state = adagrad_step(p, g, 1.0, state, eps=0.0)
+    stepper = make_baseline("adagrad", 1.0, 1, eps=0.0)
+    stepper.step(p, g)
     assert abs(p[0] + 1.0) < 1e-15  # -3/sqrt(9)
-    p, state = adagrad_step(p, g, 1.0, state, eps=0.0)
+    stepper.step(p, g)
     assert abs((p[0] + 1.0) + 3.0 / math.sqrt(18.0)) < 1e-15
 
 
 def test_rmsprop_zero_decay_is_signlike():
     g = np.array([0.4, -2.0])
-    p, _ = rmsprop_step(np.zeros(2), g, 0.1, RmsPropState(np.zeros(2)), rho=0.0, eps=1e-8)
+    p = make_baseline("rmsprop", 0.1, 2, rho=0.0, eps=1e-8).step(np.zeros(2), g)
     expected = -0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p, expected, atol=1e-15)
 
 
 def test_adam_first_step_is_signlike():
     g = np.array([0.003, -7.0, 0.5])
-    p, state = adam_step(np.zeros(3), g, 0.01, AdamState(np.zeros(3), np.zeros(3)))
-    assert state.t == 1
+    stepper = make_baseline("adam", 0.01, 3)
+    p = stepper.step(np.zeros(3), g)
+    assert stepper.t == 1
     assert np.allclose(p, -0.01 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_counter_strictly_increases():
-    state = AdamState(np.zeros(1), np.zeros(1))
+    stepper = make_baseline("adam", 0.001, 1)
     p = np.zeros(1)
     for expected_t in (1, 2, 3):
-        p, state = adam_step(p, np.ones(1), 0.001, state)
-        assert state.t == expected_t
+        stepper.step(p, np.ones(1))
+        assert stepper.t == expected_t
 
 
 def test_make_baseline_rejects_unknown():
@@ -117,11 +162,29 @@ def test_make_baseline_rejects_unknown():
         make_baseline("newton", 0.1, 4)
 
 
+@pytest.mark.parametrize(
+    "name,lr,hyper",
+    [
+        ("sgd", -0.1, {}),
+        ("adam", math.nan, {}),
+        ("sgd-m", 0.1, {"mu": 1.0}),
+        ("sgd-nag", 0.1, {"mu": -0.1}),
+        ("rmsprop", 0.1, {"rho": 1.0}),
+        ("adam", 0.1, {"beta1": 1.0}),
+        ("adam", 0.1, {"beta2": -0.5}),
+    ],
+    ids=["lr<0", "lr=nan", "mu=1", "mu<0", "rho=1", "beta1=1", "beta2<0"],
+)
+def test_make_baseline_rejects_bad_hyperparameters(name, lr, hyper):
+    with pytest.raises(ValueError):
+        make_baseline(name, lr, 4, **hyper)
+
+
 def test_baselines_preserve_shape():
     rng = Rng(77)
     g = rng_uniform(rng, (11,), -1.0, 1.0)
     p = rng_uniform(rng, (11,), -1.0, 1.0)
-    for name in ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam"):
+    for name in BASELINES:
         out = make_baseline(name, 0.01, 11).step(p, g)
         assert out.shape == p.shape
 
@@ -145,9 +208,10 @@ def test_estimate_on_one_dimensional_quadratic_by_hand():
     coeffs = lqa_estimate_coefficients(2.0, probe, 0.1)
     assert abs(coeffs.a_tilde - 4.0) < 1e-12
     assert abs(coeffs.b_tilde - 2.0) < 1e-9
-    assert abs(coeffs.delta_star - 1.0) < 1e-9
+    rate, _ = lqa_solve(coeffs, LqaState(delta0=0.1))
+    assert abs(rate - 1.0) < 1e-9
     # stepping lands exactly on the minimum
-    assert abs(2.0 - coeffs.delta_star * 2.0) < 1e-9
+    assert abs(2.0 - rate * 2.0) < 1e-9
 
 
 def test_estimate_zero_direction_sees_flat_probe():
@@ -155,8 +219,8 @@ def test_estimate_zero_direction_sees_flat_probe():
     coeffs = lqa_estimate_coefficients(2.0, probe, 0.1)
     assert coeffs.a_tilde == 0.0
     assert coeffs.b_tilde == 0.0
-    assert coeffs.delta_star == 0.1  # keeps the probe rate
-    _, verdict = lqa_solve(coeffs, LqaState(delta0=0.1))
+    rate, verdict = lqa_solve(coeffs, LqaState(delta0=0.1))
+    assert rate == 0.1  # keeps the probe rate
     assert verdict is Verdict.SKIPPED_ZERO_GRAD
 
 
@@ -299,7 +363,7 @@ def test_first_coefficient_identity_on_logreg_batch():
     x = rng_uniform(rng, (32, 10), -1.0, 1.0)
     y = np.minimum((rng.uniform(32) * 4).astype(np.int64), 3)
     batch = Batch(np.arange(32), x, y)
-    params = nn.flatten_params(model)
+    params = model.get_params()
     loss0, grad = nn.backward(model, batch, params)
     gg = dot(grad, grad)
     errors = []
@@ -310,14 +374,6 @@ def test_first_coefficient_identity_on_logreg_batch():
     assert errors[0] / gg < 1e-3
     assert 3.0 < errors[0] / errors[1] < 5.0
     assert 3.0 < errors[1] / errors[2] < 5.0
-
-
-def test_predicted_reduction_on_accepted_branch():
-    probe = quadratic_probe_1d(2.0, 2.0)
-    coeffs = lqa_estimate_coefficients(2.0, probe, 0.1)
-    expected = -coeffs.a_tilde**2 / (4.0 * coeffs.b_tilde)
-    assert coeffs.predicted_reduction < 0.0
-    assert abs(coeffs.predicted_reduction - expected) < 1e-12
 
 
 def test_full_batch_quadratic_descent_is_monotone():

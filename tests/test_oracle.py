@@ -5,7 +5,6 @@ from lqa.data import synthetic_quadratic
 from lqa.oracle import (
     QuadraticObjective,
     finite_diff_grad,
-    jacobi_eigenvalues,
     quad_loss_grad,
     quad_optimal_step,
     ray_probe,
@@ -120,14 +119,3 @@ def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_grad(lambda t: 0.0, np.zeros(2), h=0.0)
 
-
-def test_jacobi_matches_known_eigenvalues():
-    vals = jacobi_eigenvalues(np.diag([4.0, 1.0, 9.0]))
-    assert np.allclose(vals, [1.0, 4.0, 9.0], atol=1e-12)
-
-
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = Rng(31)
-    m = rng_uniform(rng, (6, 6), -1.0, 1.0)
-    sym = 0.5 * (m + m.T)
-    assert np.allclose(jacobi_eigenvalues(sym), np.linalg.eigvalsh(sym), atol=1e-10)
