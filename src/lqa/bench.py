@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,107 +105,104 @@ class MetricRecord:
     wall_time_s: float
 
 
-@dataclass
-class _Counters:
-    forward: int = 0
-    backward: int = 0
+def _setup(config, rng, count_probe):
+    """(params, epoch, evaluate) for one run of `config`.
 
-
-def _resolve_data_dir(config):
-    return config.data_dir or data_mod.default_data_dir()
-
-
-def _load_train_split(config):
-    base = _resolve_data_dir(config)
-    if config.dataset == "mnist":
-        train, _ = data_mod.load_mnist(os.path.join(base, "mnist"))
-        flat_dim, image_shape = 784, (1, 28, 28)
-    else:
-        train, _ = data_mod.load_cifar10(base)
-        flat_dim, image_shape = 3072, (3, 32, 32)
-    return train, flat_dim, image_shape
-
-
-def _build_model(config, flat_dim, image_shape):
-    if config.model == "logreg":
-        return nn.build_logreg(flat_dim, 10)
-    if config.model == "mlp":
-        return nn.build_mlp(flat_dim, 1000, 10)
-    return nn.build_lenet5(image_shape, 10)
-
-
-def run_training(config, clock=time.perf_counter, log=None):
-    """Execute one run and return its per-batch-step metric records.
-
-    Writes the CSV to config.out (when set) on success and also on a
-    non-finite abort, so the last good metrics always reach disk.
+    params is the initial vector, owned by the caller; epoch() returns one
+    epoch's batches; evaluate(batch, params) returns the batch loss, its
+    gradient and probe(s), the loss at params - s*grad. Each probe call is one
+    forward pass and calls count_probe().
     """
-    config.validate()
-    quadratic = config.dataset == "synthetic-quadratic"
-    rng = Rng(derive_seed(config.seed, 1))
-
-    if quadratic:
+    if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(config.quad_dim, derive_seed(config.seed, 0))
         if config.init == "zeros":
             params = np.zeros(config.quad_dim, dtype=np.float64)
         else:
             params = rng_uniform(rng, (config.quad_dim,), -1.0, 1.0)
-        batches_per_epoch = 1  # full-batch objective: one step per epoch
-    else:
-        train, flat_dim, image_shape = _load_train_split(config)
-        model = _build_model(config, flat_dim, image_shape)
-        nn.init_params(model, rng, config.init)
-        # a copy, never the model's buffer: every forward pass, probes
-        # included, overwrites that buffer, and the baselines step in place
-        params = model.get_params()
 
-    counters = _Counters()
-    lqa_state = None
-    stepper = None
+        def evaluate(batch, params):
+            loss, grad = oracle.quad_loss_grad(objective, params)
+            ray = oracle.ray_probe(objective, params, grad)
+
+            def probe(s):
+                count_probe()
+                return ray(s)
+
+            return loss, grad, probe
+
+        # full-batch objective: one step per epoch
+        return params, lambda: [None], evaluate
+
+    base = config.data_dir or data_mod.default_data_dir()
+    # [0] drops the unused test split now, before the model's buffers are allocated
+    if config.dataset == "mnist":
+        train = data_mod.load_mnist(os.path.join(base, "mnist"))[0]
+        flat_dim, image_shape = 784, (1, 28, 28)
+    else:
+        train = data_mod.load_cifar10(base)[0]
+        flat_dim, image_shape = 3072, (3, 32, 32)
+    if config.model == "logreg":
+        model = nn.build_logreg(flat_dim, 10)
+    elif config.model == "mlp":
+        model = nn.build_mlp(flat_dim, 1000, 10)
+    else:
+        model = nn.build_lenet5(image_shape, 10)
+    nn.init_params(model, rng, config.init)
+
+    def evaluate(batch, params):
+        loss, grad = nn.backward(model, batch, params)
+        return loss, grad, nn.make_loss_probe(model, batch, params, grad, on_eval=count_probe)
+
+    def epoch():
+        return data_mod.epoch_batches(train, config.batch_size, rng)
+
+    # a copy, never the model's buffer: every forward pass, probes included,
+    # overwrites that buffer, and every optimizer steps in place
+    return model.get_params(), epoch, evaluate
+
+
+def run_training(config, clock=time.perf_counter, log=None):
+    """Execute one run and return its per-batch-step metric records.
+
+    Each step evaluates the batch loss, gradient and loss probe, then updates
+    the run's own parameter vector in place with the configured optimizer.
+    The CSV is written to config.out (when set) however the run ends, so a
+    run that finishes, diverges or is interrupted keeps every row it recorded.
+    """
+    config.validate()
+    probes = 0
+
+    def count_probe():
+        nonlocal probes
+        probes += 1
+
+    params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)), count_probe)
     if config.optimizer == "lqa":
-        lqa_state = optim.LqaState(config.delta0, config.delta_min, config.delta_max, config.b_min)
+        state = optim.LqaState(config.delta0, config.delta_min, config.delta_max, config.b_min)
+
+        def update(params, grad, loss, probe):
+            optim.lqa_step(params, grad, loss, probe, state)
+            return state.delta0, state.last_verdict.value
+
     else:
         stepper = optim.make_baseline(config.optimizer, config.lr, params.size)
+
+        def update(params, grad, loss, probe):
+            stepper.step(params, grad)
+            return config.lr, ""
 
     records = []
     t0 = clock()
     step = 0
     try:
         for epoch in range(1, config.epochs + 1):
-            if quadratic:
-                batches = [None] * batches_per_epoch
-            else:
-                batches = data_mod.epoch_batches(train, config.batch_size, rng)
             loss_sum = 0.0
-            for k, batch in enumerate(batches, start=1):
-                if quadratic:
-                    loss, grad = oracle.quad_loss_grad(objective, params)
-                    ray = oracle.ray_probe(objective, params, grad)
-
-                    def probe(s, _ray=ray):
-                        if s != 0.0:
-                            counters.forward += 1
-                        return _ray(s)
-
-                else:
-                    loss, grad = nn.backward(model, batch, params)
-                    probe = nn.make_loss_probe(
-                        model, batch, params, grad, loss,
-                        on_eval=lambda: setattr(counters, "forward", counters.forward + 1),
-                    )
-                counters.forward += 1
-                counters.backward += 1
+            for k, batch in enumerate(epoch_batches(), start=1):
+                loss, grad, probe = evaluate(batch, params)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"non-finite loss at epoch {epoch} step {k}")
                 loss_sum += loss
-                if lqa_state is not None:
-                    params, lqa_state = optim.lqa_step(params, grad, probe, lqa_state)
-                    lr_used = lqa_state.delta0
-                    verdict = lqa_state.last_verdict.value
-                else:
-                    params = stepper.step(params, grad)
-                    lr_used = config.lr
-                    verdict = ""
+                lr_used, verdict = update(params, grad, loss, probe)
                 step += 1
                 records.append(
                     MetricRecord(
@@ -215,22 +212,20 @@ def run_training(config, clock=time.perf_counter, log=None):
                         epoch_loss=loss_sum / k,
                         lr_used=lr_used,
                         lqa_verdict=verdict,
-                        forward_count=counters.forward,
-                        backward_count=counters.backward,
+                        # one forward and one backward per gradient pass
+                        forward_count=step + probes,
+                        backward_count=step,
                         wall_time_s=clock() - t0,
                     )
                 )
             if log is not None:
-                log(
-                    f"epoch {epoch}/{config.epochs}  "
-                    f"loss {loss_sum / len(batches):.6f}  lr {records[-1].lr_used:.6g}"
-                )
+                last = records[-1]
+                log(f"epoch {epoch}/{config.epochs}  loss {last.epoch_loss:.6f}  lr {last.lr_used:.6g}")
     except NonFiniteError as exc:
+        raise TrainingDiverged(str(exc)) from exc
+    finally:
         if config.out:
             emit_csv(records, config.out)
-        raise TrainingDiverged(str(exc)) from exc
-    if config.out:
-        emit_csv(records, config.out)
     return records
 
 
@@ -420,33 +415,19 @@ def check_quadratic_exactness(instances=50, dims=(1, 2, 10, 100),
             theta = theta + 1.0
         shift = (float(q.c @ theta) - 0.5 * float(theta @ (q.A @ theta))) / float(theta @ theta)
         q = oracle.QuadraticObjective(q.A, q.c - shift * theta)
-        _, grad = oracle.quad_loss_grad(q, theta)
+        loss0, grad = oracle.quad_loss_grad(q, theta)
         expected = oracle.quad_optimal_step(q, theta, grad)
         for d0 in deltas:
             state = optim.LqaState(delta0=d0, delta_min=1e-9, delta_max=1e9)
             probe = oracle.ray_probe(q, theta, grad)
-            _, new_state = optim.lqa_step(theta, grad, probe, state)
-            worst = max(worst, abs(new_state.delta0 - expected) / abs(expected))
+            optim.lqa_step(theta.copy(), grad, loss0, probe, state)
+            worst = max(worst, abs(state.delta0 - expected) / abs(expected))
     return worst
 
 
-def _attach_standalone(layer, rng):
-    params = []
-    grads = []
-    for shape in layer.param_shapes:
-        params.append(np.zeros(shape, dtype=np.float64))
-        grads.append(np.zeros(shape, dtype=np.float64))
-    layer.attach(params, grads)
-    fans = layer.fans()
-    if fans is not None:
-        r = np.sqrt(6.0 / sum(fans))
-        layer.params[0][:] = rng_uniform(rng, layer.params[0].shape, -r, r)
-        if len(layer.params) > 1:
-            layer.params[1][:] = rng_uniform(rng, layer.params[1].shape, -0.1, 0.1)
-
-
-def _layer_fd_errors(layer, x, rng, h):
-    """FD-vs-analytic max relative error for one layer (params and input)."""
+def _layer_fd_errors(model, x, rng, h):
+    """FD-vs-analytic max relative error for a one-layer model (params and input)."""
+    layer = model.layers[0]
     readout = rng_uniform(rng, np.asarray(layer.forward(x)).shape, -1.0, 1.0)
 
     def loss_at(x_eval):
@@ -457,22 +438,14 @@ def _layer_fd_errors(layer, x, rng, h):
     errs = [relative_error(dx, oracle.finite_diff_grad(
         lambda v: loss_at(v.reshape(x.shape)), x.ravel(), h).reshape(x.shape))]
 
-    if layer.param_shapes:
-        layer.forward(x)
-        layer.backward(readout.copy())
-        analytic = np.concatenate([g.ravel() for g in layer.grads])
-
+    if model.param_count:
         def loss_at_params(vec):
-            off = 0
-            for p in layer.params:
-                p[:] = vec[off : off + p.size].reshape(p.shape)
-                off += p.size
+            model.set_params(vec)
             return loss_at(x)
 
-        p0 = np.concatenate([p.ravel() for p in layer.params])
-        fd = oracle.finite_diff_grad(loss_at_params, p0, h)
-        loss_at_params(p0)  # restore
-        errs.append(relative_error(analytic, fd))
+        fd = oracle.finite_diff_grad(loss_at_params, model.get_params(), h)
+        # the backward above filled the gradient buffer; differencing runs forwards only
+        errs.append(relative_error(model._grads_flat, fd))
     return max(errs)
 
 
@@ -499,9 +472,10 @@ def check_gradient_correctness(h=1e-5, seed=11):
         ("flatten", nn.Flatten(), (3, 2, 4, 4)),
     ]
     for name, layer, x_shape in cases:
-        _attach_standalone(layer, rng)
+        model = nn.Model([layer], x_shape[1:], classes=None)
+        nn.init_params(model, rng)
         x = rng_uniform(rng, x_shape, -1.0, 1.0)
-        results[name] = _layer_fd_errors(layer, x, rng, h)
+        results[name] = _layer_fd_errors(model, x, rng, h)
 
     # loss head: analytic dlogits vs FD through the scalar loss
     logits = rng_uniform(rng, (5, 4), -2.0, 2.0)
@@ -540,7 +514,7 @@ def check_coefficient_identity(delta0=0.01, seed=5):
     gg = dot(grad, grad)
 
     def rel_err(d0):
-        probe = nn.make_loss_probe(model, batch, params, grad, loss0)
+        probe = nn.make_loss_probe(model, batch, params, grad)
         coeffs = optim.lqa_estimate_coefficients(loss0, probe, d0)
         return abs(coeffs.a_tilde - gg) / gg
 
@@ -597,26 +571,28 @@ def _build_parser():
     p_fetch.add_argument("--data-dir", default=None)
     p_fetch.add_argument("--base-url", default=None, help="override the download location")
 
-    p_train = sub.add_parser("train", help="run one training configuration")
-    p_train.add_argument("--model", choices=MODELS, default="logreg")
-    p_train.add_argument("--dataset", choices=DATASETS, default="mnist")
+    # a flag left out is left out of the namespace, so TrainConfig's default applies
+    p_train = sub.add_parser("train", help="run one training configuration",
+                             argument_default=argparse.SUPPRESS)
+    p_train.add_argument("--model", choices=MODELS)
+    p_train.add_argument("--dataset", choices=DATASETS)
     p_train.add_argument("--optimizer", choices=OPTIMIZERS, required=True)
-    p_train.add_argument("--lr", type=float, default=None,
+    p_train.add_argument("--lr", type=float,
                          help="learning rate (required for every optimizer except lqa)")
-    p_train.add_argument("--batch-size", type=int, default=64)
+    p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--epochs", type=int, required=True)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--init", choices=("default", "zeros"), default="default")
-    p_train.add_argument("--delta0", type=float, default=0.01, help="initial probe rate")
-    p_train.add_argument("--delta-min", type=float, default=1e-6)
-    p_train.add_argument("--delta-max", type=float, default=10.0)
-    p_train.add_argument("--b-min", type=float, default=1e-12, help="curvature floor")
-    p_train.add_argument("--quad-dim", type=int, default=10)
-    p_train.add_argument("--data-dir", default=None)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--init", choices=("default", "zeros"))
+    p_train.add_argument("--delta0", type=float, help="initial probe rate")
+    p_train.add_argument("--delta-min", type=float)
+    p_train.add_argument("--delta-max", type=float)
+    p_train.add_argument("--b-min", type=float, help="curvature floor")
+    p_train.add_argument("--quad-dim", type=int)
+    p_train.add_argument("--data-dir")
     p_train.add_argument("--out", required=True, help="metrics CSV path")
-    p_train.add_argument("--fixed-clock", action="store_true",
+    p_train.add_argument("--fixed-clock", action="store_true", default=False,
                          help="record wall_time_s as 0.0 for byte-identical reruns")
-    p_train.add_argument("--quiet", action="store_true")
+    p_train.add_argument("--quiet", action="store_true", default=False)
 
     p_plot = sub.add_parser("plot", help="render metrics CSVs as an SVG chart")
     p_plot.add_argument("--out", required=True)
@@ -646,26 +622,12 @@ def cli_main(argv=None):
             return 0
 
         if args.command == "train":
-            config = TrainConfig(
-                model=args.model,
-                dataset=args.dataset,
-                optimizer=args.optimizer,
-                lr=args.lr,
-                batch_size=args.batch_size,
-                epochs=args.epochs,
-                seed=args.seed,
-                init=args.init,
-                delta0=args.delta0,
-                delta_min=args.delta_min,
-                delta_max=args.delta_max,
-                b_min=args.b_min,
-                quad_dim=args.quad_dim,
-                data_dir=args.data_dir,
-                out=args.out,
-            )
-            clock = (lambda: 0.0) if args.fixed_clock else time.perf_counter
-            log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-            run_training(config, clock=clock, log=log)
+            # every other flag's destination is a TrainConfig field of the same name
+            settings = vars(args)
+            del settings["command"]
+            clock = (lambda: 0.0) if settings.pop("fixed_clock") else time.perf_counter
+            log = None if settings.pop("quiet") else (lambda msg: print(msg, file=sys.stderr))
+            run_training(TrainConfig(**settings), clock=clock, log=log)
             print(f"wrote {args.out}")
             return 0
 

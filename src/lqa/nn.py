@@ -377,21 +377,16 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     return Model(layers, input_shape, classes)
 
 
-def make_loss_probe(model, batch, params, grad, loss0, on_eval=None):
+def make_loss_probe(model, batch, params, grad, on_eval=None):
     """Probe(s) = mean batch loss at params - s*grad, without touching `params`.
 
-    probe(0.0) returns the already-known batch loss instead of re-running the
-    forward pass, so a full coefficient estimate costs exactly two extra
-    forward passes. `on_eval` (if given) is called once per actual forward
-    pass, which is how the runner audits that cost.
+    Every call is one forward pass and calls `on_eval` (if given) once, which
+    is how the runner counts that cost.
     """
 
     def probe(s):
-        s = float(s)
-        if s == 0.0:
-            return loss0
         if on_eval is not None:
             on_eval()
-        return forward_loss(model, batch, params - s * grad)
+        return forward_loss(model, batch, params - float(s) * grad)
 
     return probe

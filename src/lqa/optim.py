@@ -1,17 +1,18 @@
-"""Seven optimizers: six baselines that update in place and one estimated rate.
+"""Seven optimizers, one contract: a step updates `params` in place.
 
-The six baselines (SGD, momentum, Nesterov, AdaGrad, RMSProp, Adam) are the
-canonical recurrences with the usual defaults. `make_baseline` returns a
-`Baseline` whose `step(params, grad)` overwrites `params` with the updated
-vector and returns that same array, so callers must own the vector they pass.
+Every step overwrites the `params` vector it is given and returns that same
+array, so callers must own the vector they pass. A NaN or Inf in a step's
+inputs raises NonFiniteError before anything is written (LQA also rejects a
+non-finite result after writing it). The six baselines (SGD, momentum,
+Nesterov, AdaGrad, RMSProp, Adam) are the canonical recurrences with the
+usual defaults, stepped by `make_baseline(...).step`.
 
-The seventh picks its learning rate per batch step: it models the batch loss
-along the gradient direction as a quadratic in the step size, estimates the
-two coefficients from the loss at params -+ delta0*grad (two extra forward
-passes, no second derivatives), and steps with the minimizer a/(2b).
-Degenerate fits fall back to the previous rate instead of failing.
-`lqa_step` is out-of-place: it returns new parameters and a new state and
-leaves its inputs untouched.
+The seventh, `lqa_step`, picks its learning rate per batch step: it models
+the batch loss along the gradient direction as a quadratic in the step size,
+estimates the two coefficients from the loss at params -+ delta0*grad (two
+extra forward passes, no second derivatives), and steps with the minimizer
+a/(2b). Degenerate fits fall back to the previous rate instead of failing.
+`LqaState` carries the rate and the verdict from one step to the next.
 
 Sign convention, fixed once: probe(s) evaluates the loss at params - s*grad,
 so the probe at -delta0 is the "uphill" point params + delta0*grad. With that
@@ -22,7 +23,7 @@ as delta0 -> 0.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,23 +219,20 @@ def lqa_estimate_coefficients(loss0, probe, delta0):
     return LqaCoefficients(a, b)
 
 
-def lqa_step(params, grad, probe, state):
-    """One parameter update with a per-step estimated rate.
+def lqa_step(params, grad, loss0, probe, state):
+    """One in-place update with a per-step estimated rate; returns `params`.
 
-    Probes the loss at params -+ delta0*grad, solves for the rate, steps
-    params - rate*grad, and chains the solved rate into the next step's probe
-    radius. Returns (new_params, new_state); the passed params and state are
-    not touched.
+    loss0 is the loss at params. Probes the loss at params -+ delta0*grad,
+    solves for the rate, steps params -= rate*grad, and stores the rate (the
+    next step's probe radius) and the verdict on `state`.
     """
     _check_grad(grad)
-    loss0 = probe(0.0)
-    if not math.isfinite(loss0):
-        raise NonFiniteError("probe(0) returned a non-finite loss")
     coeffs = lqa_estimate_coefficients(loss0, probe, state.delta0)
     # lqa_solve returns a rate inside [delta_min, delta_max] or state.delta0,
     # which LqaState keeps in that box, so it chains without another clamp
     rate, verdict = lqa_solve(coeffs, state)
-    new_params = params - rate * grad
-    if not np.all(np.isfinite(new_params)):
+    params -= rate * grad
+    if not np.all(np.isfinite(params)):
         raise NonFiniteError("update produced non-finite parameters")
-    return new_params, replace(state, delta0=rate, last_verdict=verdict)
+    state.delta0, state.last_verdict = rate, verdict
+    return params

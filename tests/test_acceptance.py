@@ -6,8 +6,9 @@ and skip (with instructions) when the IDX files are absent; fetch them with
     python -m lqa fetch --dataset mnist --data-dir <repo>/data
 
 Training runs are cached as CSVs under acceptance_runs/ at the repo root so
-a re-invocation of pytest does not redo roughly an hour of CPU work. Delete
-that directory after changing any training code.
+a re-invocation of pytest does not redo roughly an hour of CPU work. A run
+trains into <name>.csv.partial and is renamed to <name>.csv only when it
+finishes. Delete that directory after changing any training code.
 """
 
 import os
@@ -83,8 +84,12 @@ def _gated_run(name, **config_kwargs):
     if os.path.exists(path):
         records = read_metrics(path)
     else:
-        config = TrainConfig(dataset="mnist", data_dir=DATA_DIR, seed=42, out=path, **config_kwargs)
+        # a diverged or interrupted run leaves its rows in the side file, so
+        # only a finished run is ever found at `path`
+        partial = path + ".partial"
+        config = TrainConfig(dataset="mnist", data_dir=DATA_DIR, seed=42, out=partial, **config_kwargs)
         records = run_training(config, clock=_FIXED_CLOCK)
+        os.replace(partial, path)
     _run_cache[name] = (records, path)
     return records, path
 

@@ -138,6 +138,21 @@ def test_divergence_flushes_partial_csv(tmp_path):
     assert 0 < len(flushed) < 50
 
 
+def test_interrupted_run_reraises_and_keeps_its_rows(tmp_path):
+    out = tmp_path / "int.csv"
+    calls = []
+
+    def clock():
+        calls.append(None)
+        if len(calls) == 4:  # t0, then one call per recorded row
+            raise KeyboardInterrupt
+        return 0.0
+
+    with pytest.raises(KeyboardInterrupt):
+        run_training(quad_config(out=str(out)), clock=clock)
+    assert len(read_metrics(out)) == 2
+
+
 def test_classification_run_mechanics(tmp_path):
     data_dir = make_tiny_mnist(tmp_path)
     cfg = TrainConfig(
@@ -172,9 +187,9 @@ def test_delta0_chains_across_epoch_boundary(tmp_path, monkeypatch):
     seen_delta0 = []
     real_step = optim.lqa_step
 
-    def spying_step(params, grad, probe, state):
+    def spying_step(params, grad, loss0, probe, state):
         seen_delta0.append(state.delta0)
-        return real_step(params, grad, probe, state)
+        return real_step(params, grad, loss0, probe, state)
 
     monkeypatch.setattr(bench.optim, "lqa_step", spying_step)
     cfg = TrainConfig(
@@ -334,6 +349,21 @@ def test_cli_train_quadratic_and_plot(tmp_path):
     svg_out = str(tmp_path / "m.svg")
     assert bench.cli_main(["plot", "--out", svg_out, out]) == 0
     assert os.path.exists(svg_out)
+
+
+def test_cli_train_defaults_are_train_config_defaults(tmp_path):
+    data_dir = make_tiny_mnist(tmp_path)
+    for where in (dict(dataset="synthetic-quadratic"), dict(data_dir=str(data_dir))):
+        cli_out, api_out = tmp_path / "cli.csv", tmp_path / "api.csv"
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in where.items()]
+        code = bench.cli_main(
+            ["train", "--optimizer", "lqa", "--epochs", "2", "--out", str(cli_out),
+             "--fixed-clock", "--quiet", *flags]
+        )
+        assert code == 0
+        run_training(TrainConfig(optimizer="lqa", epochs=2, out=str(api_out), **where),
+                     clock=FIXED_CLOCK)
+        assert cli_out.read_bytes() == api_out.read_bytes()
 
 
 def test_cli_train_requires_lr_for_sgd(tmp_path):

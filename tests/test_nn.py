@@ -320,23 +320,23 @@ def test_init_bounds_follow_fan_sums():
 # --- probe -------------------------------------------------------------------
 
 
-def test_probe_returns_cached_loss_at_zero_and_counts_evals():
+def test_probe_counts_every_eval_and_leaves_inputs_untouched():
     model = nn.build_logreg(4, 3)
     rng = Rng(9)
     nn.init_params(model, rng)
     batch = toy_batch(rng, 8, (4,), 3)
     params = model.get_params()
-    loss0, grad = nn.backward(model, batch, params)
+    _, grad = nn.backward(model, batch, params)
     params_before = params.copy()
     grad_before = grad.copy()
     evals = []
-    probe = nn.make_loss_probe(model, batch, params, grad, loss0, on_eval=lambda: evals.append(1))
-    assert probe(0.0) == loss0
+    probe = nn.make_loss_probe(model, batch, params, grad, on_eval=lambda: evals.append(1))
     assert evals == []
     shifted = probe(0.05)
     assert len(evals) == 1
     assert shifted == nn.forward_loss(model, batch, params - 0.05 * grad)
     assert probe(0.05) == shifted  # pure: same input, same value
+    assert len(evals) == 2
     # the caller's vectors were never touched
     assert np.array_equal(params, params_before)
     assert np.array_equal(grad, grad_before)

@@ -284,13 +284,13 @@ def test_step_on_diagonal_quadratic_matches_derived_values():
     coeffs = lqa_estimate_coefficients(probe(0.0), probe, 0.1)
     assert abs(coeffs.a_tilde - 17.0) < 1e-9
     assert abs(coeffs.b_tilde - 32.5) < 1e-7
-    new_params, new_state = lqa_step(theta, g, probe, state)
-    assert new_state.last_verdict is Verdict.ACCEPTED
-    assert abs(new_state.delta0 - 17.0 / 65.0) < 1e-9
-    assert np.allclose(new_params, [48.0 / 65.0, -3.0 / 65.0], atol=1e-8)
+    assert lqa_step(theta, g, probe(0.0), probe, state) is theta
+    assert state.last_verdict is Verdict.ACCEPTED
+    assert abs(state.delta0 - 17.0 / 65.0) < 1e-9
+    assert np.allclose(theta, [48.0 / 65.0, -3.0 / 65.0], atol=1e-8)
 
 
-def test_step_keeps_passed_state_and_chains_delta0():
+def test_step_stores_rate_on_passed_state_and_chains_delta0():
     theta = np.array([2.0])
     g = np.array([2.0])
     state = LqaState(delta0=0.1)
@@ -301,37 +301,66 @@ def test_step_keeps_passed_state_and_chains_delta0():
         t = theta - s * g
         return 0.5 * float(t @ t)
 
-    new_params, new_state = lqa_step(theta, g, probe, state)
-    assert state.delta0 == 0.1 and state.last_verdict is None  # input untouched
+    lqa_step(theta, g, probe(0.0), probe, state)
+    # the exact line minimum of 0.5*t^2 from t = 2 along g = 2 is s = 1
+    assert abs(state.delta0 - 1.0) < 1e-9 and state.last_verdict is Verdict.ACCEPTED
     assert seen == [0.0, -0.1, 0.1]
 
     # second step probes at the first step's solved rate
-    theta2, g2 = new_params, new_params.copy()
+    g2 = theta.copy()
     seen.clear()
 
     def probe2(s):
         seen.append(s)
-        t = theta2 - s * g2
+        t = theta - s * g2
         return 0.5 * float(t @ t)
 
-    lqa_step(theta2, g2, probe2, new_state)
-    assert seen == [0.0, -new_state.delta0, new_state.delta0]
+    solved = state.delta0
+    lqa_step(theta, g2, probe2(0.0), probe2, state)
+    assert seen == [0.0, -solved, solved]
 
 
 def test_step_zero_grad_is_noop_with_verdict():
     theta = np.array([1.0, -2.0])
     probe = lambda s: 3.5  # flat: zero direction scales nothing
-    new_params, new_state = lqa_step(theta, np.zeros(2), probe, LqaState(delta0=0.02))
-    assert np.array_equal(new_params, theta)
-    assert new_state.last_verdict is Verdict.SKIPPED_ZERO_GRAD
-    assert new_state.delta0 == 0.02
+    state = LqaState(delta0=0.02)
+    assert lqa_step(theta, np.zeros(2), 3.5, probe, state) is theta
+    assert np.array_equal(theta, [1.0, -2.0])
+    assert state.last_verdict is Verdict.SKIPPED_ZERO_GRAD
+    assert state.delta0 == 0.02
 
 
 def test_step_rejects_nonfinite():
-    with pytest.raises(NonFiniteError):
-        lqa_step(np.zeros(2), np.array([np.inf, 0.0]), lambda s: 1.0, LqaState())
-    with pytest.raises(NonFiniteError):
-        lqa_step(np.zeros(2), np.ones(2), lambda s: math.nan, LqaState())
+    cases = (
+        (np.array([np.inf, 0.0]), 1.0, lambda s: 1.0),  # gradient
+        (np.ones(2), 1.0, lambda s: math.nan),  # probe loss
+        (np.ones(2), math.nan, lambda s: 1.0),  # loss at params
+    )
+    for grad, loss0, probe in cases:
+        params, state = np.zeros(2), LqaState()
+        with pytest.raises(NonFiniteError):
+            lqa_step(params, grad, loss0, probe, state)
+        # rejected before anything was written
+        assert np.array_equal(params, np.zeros(2))
+        assert state == LqaState()
+
+
+def test_in_place_step_matches_out_of_place_reference_bitwise():
+    q = synthetic_quadratic(8, 4)
+    theta = rng_uniform(Rng(7), (8,), -1.0, 1.0)
+    ref, ref_state = theta.copy(), LqaState()
+    state = LqaState()
+    for _ in range(20):
+        loss, grad = quad_loss_grad(q, ref)
+        probe = ray_probe(q, ref, grad)
+        rate, verdict = lqa_solve(lqa_estimate_coefficients(loss, probe, ref_state.delta0), ref_state)
+        ref = ref - rate * grad
+        ref_state = replace(ref_state, delta0=rate, last_verdict=verdict)
+
+        loss, grad = quad_loss_grad(q, theta)
+        assert lqa_step(theta, grad, loss, ray_probe(q, theta, grad), state) is theta
+        assert theta.tobytes() == ref.tobytes()
+        assert state == ref_state
 
 
 # --- quadratic exactness against the explicit-Hessian oracle -------------------
@@ -351,8 +380,8 @@ def test_coefficients_independent_of_delta0_and_match_analytic(dim, seed):
         assert abs(coeffs.a_tilde - a_exact) <= 1e-9 * abs(a_exact)
         assert abs(coeffs.b_tilde - b_exact) <= 1e-9 * abs(b_exact)
         state = LqaState(delta0=d0, delta_min=1e-9, delta_max=1e9)
-        _, new_state = lqa_step(theta, grad, probe, state)
-        assert abs(new_state.delta0 - expected_rate) <= 1e-9 * abs(expected_rate)
+        lqa_step(theta.copy(), grad, loss0, probe, state)
+        assert abs(state.delta0 - expected_rate) <= 1e-9 * abs(expected_rate)
 
 
 def test_first_coefficient_identity_on_logreg_batch():
@@ -368,7 +397,7 @@ def test_first_coefficient_identity_on_logreg_batch():
     gg = dot(grad, grad)
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
-        probe = nn.make_loss_probe(model, batch, params, grad, loss0)
+        probe = nn.make_loss_probe(model, batch, params, grad)
         coeffs = lqa_estimate_coefficients(loss0, probe, d0)
         errors.append(abs(coeffs.a_tilde - gg))
     assert errors[0] / gg < 1e-3
@@ -384,7 +413,7 @@ def test_full_batch_quadratic_descent_is_monotone():
     for _ in range(30):
         loss, grad = quad_loss_grad(q, theta)
         losses.append(loss)
-        theta, state = lqa_step(theta, grad, ray_probe(q, theta, grad), state)
+        lqa_step(theta, grad, loss, ray_probe(q, theta, grad), state)
         assert state.last_verdict in (Verdict.ACCEPTED, Verdict.CLAMPED)
     final, _ = quad_loss_grad(q, theta)
     losses.append(final)
