@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import nn, optim, oracle
-from .tensor import NonFiniteError, Rng, derive_seed, dot, rng_uniform
+from .tensor import NonFiniteError, Rng, derive_seed, rng_uniform
 
 __all__ = [
     "TrainConfig",
@@ -63,10 +63,10 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     init: str = "default"
-    delta0: float = 0.01
-    delta_min: float = 1e-6
-    delta_max: float = 10.0
-    b_min: float = 1e-12
+    delta0: float = optim.LqaState.delta0
+    delta_min: float = optim.LqaState.delta_min
+    delta_max: float = optim.LqaState.delta_max
+    b_min: float = optim.LqaState.b_min
     quad_dim: int = 10
     data_dir: str | None = None
     out: str | None = None
@@ -147,7 +147,7 @@ def _setup(config, rng, count_probe):
         model = nn.build_mlp(flat_dim, 1000, 10)
     else:
         model = nn.build_lenet5(image_shape, 10)
-    nn.init_params(model, rng, config.init)
+    params = nn.init_params(model, rng, config.init)
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
@@ -156,9 +156,7 @@ def _setup(config, rng, count_probe):
     def epoch():
         return data_mod.epoch_batches(train, config.batch_size, rng)
 
-    # a copy, never the model's buffer: every forward pass, probes included,
-    # overwrites that buffer, and every optimizer steps in place
-    return model.get_params(), epoch, evaluate
+    return params, epoch, evaluate
 
 
 def run_training(config, clock=time.perf_counter, log=None):
@@ -166,8 +164,10 @@ def run_training(config, clock=time.perf_counter, log=None):
 
     Each step evaluates the batch loss, gradient and loss probe, then updates
     the run's own parameter vector in place with the configured optimizer.
-    The CSV is written to config.out (when set) however the run ends, so a
-    run that finishes, diverges or is interrupted keeps every row it recorded.
+    The CSV is written to config.out (when set) header-only before the first
+    step, so an unwritable path fails at once, and again however the run ends,
+    so a run that finishes, diverges or is interrupted keeps every row it
+    recorded.
     """
     config.validate()
     probes = 0
@@ -177,6 +177,8 @@ def run_training(config, clock=time.perf_counter, log=None):
         probes += 1
 
     params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)), count_probe)
+    if config.out:
+        emit_csv([], config.out)
     if config.optimizer == "lqa":
         state = optim.LqaState(config.delta0, config.delta_min, config.delta_max, config.b_min)
 
@@ -425,9 +427,11 @@ def check_quadratic_exactness(instances=50, dims=(1, 2, 10, 100),
     return worst
 
 
-def _layer_fd_errors(model, x, rng, h):
+def _layer_fd_errors(model, params, x, rng, h):
     """FD-vs-analytic max relative error for a one-layer model (params and input)."""
     layer = model.layers[0]
+    grad = np.zeros_like(params)
+    model.bind(params, grad)
     readout = rng_uniform(rng, np.asarray(layer.forward(x)).shape, -1.0, 1.0)
 
     def loss_at(x_eval):
@@ -440,12 +444,11 @@ def _layer_fd_errors(model, x, rng, h):
 
     if model.param_count:
         def loss_at_params(vec):
-            model.set_params(vec)
+            model.bind(vec)
             return loss_at(x)
 
-        fd = oracle.finite_diff_grad(loss_at_params, model.get_params(), h)
-        # the backward above filled the gradient buffer; differencing runs forwards only
-        errs.append(relative_error(model._grads_flat, fd))
+        # the backward above filled grad; differencing runs forwards only
+        errs.append(relative_error(grad, oracle.finite_diff_grad(loss_at_params, params, h)))
     return max(errs)
 
 
@@ -472,10 +475,10 @@ def check_gradient_correctness(h=1e-5, seed=11):
         ("flatten", nn.Flatten(), (3, 2, 4, 4)),
     ]
     for name, layer, x_shape in cases:
-        model = nn.Model([layer], x_shape[1:], classes=None)
-        nn.init_params(model, rng)
+        model = nn.Model([layer], x_shape[1:])
+        params = nn.init_params(model, rng)
         x = rng_uniform(rng, x_shape, -1.0, 1.0)
-        results[name] = _layer_fd_errors(model, x, rng, h)
+        results[name] = _layer_fd_errors(model, params, x, rng, h)
 
     # loss head: analytic dlogits vs FD through the scalar loss
     logits = rng_uniform(rng, (5, 4), -2.0, 2.0)
@@ -492,9 +495,8 @@ def check_gradient_correctness(h=1e-5, seed=11):
         ("lenet5", nn.build_lenet5((1, 16, 16), 3, conv_channels=(2, 3), fc_dims=(6, 5)), (1, 16, 16), 3),
     ]
     for name, model, in_shape, classes in builders:
-        nn.init_params(model, rng)
+        params = nn.init_params(model, rng)
         batch = _toy_batch(rng, 6, in_shape, classes)
-        params = model.get_params()
         _, analytic = nn.backward(model, batch, params)
         fd = oracle.finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params, h)
         results[f"model_{name}"] = relative_error(analytic, fd)
@@ -507,11 +509,10 @@ def check_coefficient_identity(delta0=0.01, seed=5):
     """
     rng = Rng(seed)
     model = nn.build_logreg(10, 4)
-    nn.init_params(model, rng)
+    params = nn.init_params(model, rng)
     batch = _toy_batch(rng, 32, (10,), 4)
-    params = model.get_params()
     loss0, grad = nn.backward(model, batch, params)
-    gg = dot(grad, grad)
+    gg = float(grad @ grad)
 
     def rel_err(d0):
         probe = nn.make_loss_probe(model, batch, params, grad)

@@ -1,11 +1,12 @@
 """Layers with explicit forward/backward passes and the three benchmark models.
 
 Every model is a plain sequence of layers topped by a fused softmax
-cross-entropy head. Parameters live in one flat float64 buffer owned by the
-model; each layer's weight tensors are contiguous reshaped views into it, so
-swapping the whole parameter vector (which the probe-based optimizer does
-three times per batch step) is a single copy. Gradients mirror that layout in
-a second flat buffer.
+cross-entropy head. A model holds the layout of its parameters, never their
+values: each pass binds the layers' weight tensors to reshaped views of the
+flat float64 vector it is given, so evaluating the loss at a new vector
+(which the probe-based optimizer does three times per batch step) copies
+nothing. A gradient pass binds a fresh gradient vector of the same layout and
+returns it.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
@@ -37,16 +38,10 @@ __all__ = [
 
 
 class Layer:
-    """One stage of a model. Subclasses set param_shapes and fan in/out."""
+    """One stage of a model. Subclasses set param_shapes and fans; Model.bind sets params/grads."""
 
     param_shapes = ()
-    params: list
-    grads: list
-
-    def attach(self, params, grads):
-        """Receive parameter/gradient views carved from the model's flat buffers."""
-        self.params = params
-        self.grads = grads
+    params = grads = ()
 
     def forward(self, x):
         raise NotImplementedError
@@ -224,37 +219,35 @@ class Model:
     """An ordered layer stack plus the softmax cross-entropy head.
 
     `input_shape` is the per-sample shape the forward pass expects; batches
-    arriving flat are reshaped to it. A model instance is confined to one
-    training thread and forward/backward are not reentrant.
+    arriving flat are reshaped to it. The model holds the parameter layout
+    only. A model instance is confined to one training thread and
+    forward/backward are not reentrant.
     """
 
-    def __init__(self, layers, input_shape, classes):
+    def __init__(self, layers, input_shape):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
-        self.classes = classes
-        sizes = []
-        for layer in self.layers:
-            sizes.extend(int(np.prod(s)) for s in layer.param_shapes)
-        self.param_count = sum(sizes)
-        self._params_flat = np.zeros(self.param_count, dtype=np.float64)
-        self._grads_flat = np.zeros(self.param_count, dtype=np.float64)
+        self._layout = []  # (layer, ((slice, shape), ...)) for each weighted layer
         offset = 0
         for layer in self.layers:
-            pviews, gviews = [], []
+            spans = []
             for shape in layer.param_shapes:
                 size = int(np.prod(shape))
-                pviews.append(self._params_flat[offset : offset + size].reshape(shape))
-                gviews.append(self._grads_flat[offset : offset + size].reshape(shape))
+                spans.append((slice(offset, offset + size), shape))
                 offset += size
-            layer.attach(pviews, gviews)
+            if spans:
+                self._layout.append((layer, tuple(spans)))
+        self.param_count = offset
 
-    def set_params(self, vec):
-        if vec.shape != (self.param_count,):
-            raise ValueError(f"expected {self.param_count} parameters, got {vec.shape}")
-        self._params_flat[:] = vec
-
-    def get_params(self):
-        return self._params_flat.copy()
+    def bind(self, params, grads=None):
+        """Point each layer's params (and grads, when given) at views of these flat vectors."""
+        for vec in (params, grads):
+            if vec is not None and vec.shape != (self.param_count,):
+                raise ValueError(f"expected {self.param_count} parameters, got {vec.shape}")
+        for layer, spans in self._layout:
+            layer.params = [params[s].reshape(shape) for s, shape in spans]
+            if grads is not None:
+                layer.grads = [grads[s].reshape(shape) for s, shape in spans]
 
     def forward(self, x):
         """Logits for a batch shaped (n, *input_shape)."""
@@ -271,12 +264,8 @@ def _batch_input(model, batch):
 
 
 def forward_loss(model, batch, params):
-    """Mean batch NLL at the given parameter vector.
-
-    The model's buffer is scratch space: it is left holding exactly `params`,
-    so the call is pure with respect to the vector the caller owns.
-    """
-    model.set_params(params)
+    """Mean batch NLL at the given parameter vector, which is only read."""
+    model.bind(params)
     logits = model.forward(_batch_input(model, batch))
     loss, _ = softmax_cross_entropy(logits, batch.labels)
     if not np.isfinite(loss):
@@ -285,22 +274,22 @@ def forward_loss(model, batch, params):
 
 
 def backward(model, batch, params):
-    """Batch loss and the exact analytic gradient of forward_loss at params."""
-    model.set_params(params)
+    """Batch loss and the exact analytic gradient of forward_loss at params, as a new vector."""
+    grad = np.zeros(model.param_count, dtype=np.float64)
+    model.bind(params, grad)
     logits = model.forward(_batch_input(model, batch))
     loss, d = softmax_cross_entropy(logits, batch.labels)
     if not np.isfinite(loss):
         raise NonFiniteError("forward pass produced a non-finite loss")
     for layer in reversed(model.layers):
         d = layer.backward(d)
-    grad = model._grads_flat.copy()
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("backward pass produced a non-finite gradient")
     return loss, grad
 
 
 def init_params(model, rng, scheme="default"):
-    """Seeded initialization.
+    """A new, seeded parameter vector, bound to the model.
 
     "default": each weight tensor uniform on [-r, r] with
     r = sqrt(6 / (fan_in + fan_out)); biases zero. "zeros": everything zero
@@ -309,9 +298,10 @@ def init_params(model, rng, scheme="default"):
     """
     if scheme not in ("default", "zeros"):
         raise ValueError(f"unknown init scheme {scheme!r}")
-    model._params_flat[:] = 0.0
+    params = np.zeros(model.param_count, dtype=np.float64)
+    model.bind(params)
     if scheme == "zeros":
-        return
+        return params
     for layer in model.layers:
         fans = layer.fans()
         if fans is None:
@@ -320,11 +310,12 @@ def init_params(model, rng, scheme="default"):
         r = np.sqrt(6.0 / (fan_in + fan_out))
         W = layer.params[0]
         W[:] = rng_uniform(rng, W.shape, -r, r)
+    return params
 
 
 def build_logreg(input_dim=784, classes=10):
     """Multinomial logistic regression: one dense layer into the loss head."""
-    return Model([Dense(input_dim, classes)], (input_dim,), classes)
+    return Model([Dense(input_dim, classes)], (input_dim,))
 
 
 def build_mlp(input_dim=784, hidden=1000, classes=10):
@@ -336,7 +327,7 @@ def build_mlp(input_dim=784, hidden=1000, classes=10):
         Relu(),
         Dense(hidden, classes),
     ]
-    return Model(layers, (input_dim,), classes)
+    return Model(layers, (input_dim,))
 
 
 def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_dims=(120, 84)):
@@ -374,7 +365,7 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
         Relu(),
         Dense(f2, classes),
     ]
-    return Model(layers, input_shape, classes)
+    return Model(layers, input_shape)
 
 
 def make_loss_probe(model, batch, params, grad, on_eval=None):

@@ -1,11 +1,10 @@
-"""A checked float64 dot product and a deterministic, platform-independent random source.
+"""The package's non-finite error and a deterministic, platform-independent random source.
 
 A "tensor" throughout this package is a C-contiguous ``numpy.ndarray`` of
 64-bit floats. 64-bit precision is not negotiable: the optimizer estimates a
 curvature coefficient from a central second difference of nearly equal loss
-values, and that difference is unusably noisy in 32 bits. All public
-operations here validate shapes and surface NaN/Inf as errors instead of
-letting them propagate.
+values, and that difference is unusably noisy in 32 bits. NaN and Inf
+surface as NonFiniteError instead of propagating.
 """
 
 import numpy as np
@@ -14,26 +13,12 @@ __all__ = [
     "NonFiniteError",
     "Rng",
     "derive_seed",
-    "dot",
     "rng_uniform",
 ]
 
 
 class NonFiniteError(ValueError):
     """A numeric operation produced (or was handed) NaN or Inf."""
-
-
-def dot(x, y):
-    """Sum of elementwise products, accumulated in 64-bit. Shapes must agree in count."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError(f"element counts differ: {x.size} vs {y.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = float(np.dot(x.ravel(), y.ravel()))
-    if not np.isfinite(out):
-        raise NonFiniteError("dot produced NaN or Inf")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lqa import bench, optim
+from lqa import bench, data, nn, optim
 from lqa.bench import (
     MetricRecord,
     TrainConfig,
@@ -151,6 +151,55 @@ def test_interrupted_run_reraises_and_keeps_its_rows(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         run_training(quad_config(out=str(out)), clock=clock)
     assert len(read_metrics(out)) == 2
+
+
+def test_unwritable_out_fails_before_the_first_step(tmp_path):
+    calls = []
+
+    def clock():
+        calls.append(None)
+        return 0.0
+
+    with pytest.raises(FileNotFoundError):
+        run_training(quad_config(out=str(tmp_path / "missing" / "x.csv")), clock=clock)
+    assert calls == []  # the run never started its clock, so no step ran
+
+
+# perfbench's tracer and checks replace these module attributes from outside
+PERFBENCH_HOOKS = (
+    (nn, "backward"), (nn, "forward_loss"), (nn, "make_loss_probe"),
+    (optim, "lqa_step"), (optim, "make_baseline"),
+    (data, "load_mnist"), (data, "epoch_batches"), (bench, "emit_csv"),
+)
+
+
+def test_every_hooked_name_is_called_through_its_module(tmp_path, monkeypatch):
+    data_dir = make_tiny_mnist(tmp_path)
+    calls = {}
+
+    def recorded(key, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(key, []).append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in PERFBENCH_HOOKS:
+        key = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, recorded(key, getattr(module, name)))
+    for opt in ("lqa", "sgd"):
+        cfg = TrainConfig(
+            model="logreg", dataset="mnist", optimizer=opt, lr=0.1, epochs=2,
+            batch_size=64, seed=4, data_dir=str(data_dir), out=str(tmp_path / f"{opt}.csv"),
+        )
+        recs = run_training(cfg, clock=FIXED_CLOCK)
+        passed = [args[2] for args in calls.pop("lqa.nn.backward")]
+        assert len(passed) == len(recs) == 6
+        # the run's own vector, stepped in place: the one array a hook can save
+        assert all(p is passed[0] for p in passed)
+    assert sorted(calls) == sorted(
+        f"{module.__name__}.{name}" for module, name in PERFBENCH_HOOKS if name != "backward"
+    )
 
 
 def test_classification_run_mechanics(tmp_path):

@@ -64,11 +64,11 @@ def test_loss_head_rows_sum_to_zero_and_loss_nonnegative():
 def test_forward_loss_is_parameter_pure():
     model = nn.build_mlp(6, 4, 3)
     rng = Rng(3)
-    nn.init_params(model, rng)
+    params = nn.init_params(model, rng)
     batch = toy_batch(rng, 5, (6,), 3)
-    params = model.get_params()
+    before = params.copy()
     assert nn.forward_loss(model, batch, params) == nn.forward_loss(model, batch, params)
-    assert np.array_equal(model.get_params(), params)
+    assert np.array_equal(params, before)
 
 
 def test_empty_batch_rejected():
@@ -81,7 +81,9 @@ def test_empty_batch_rejected():
 def test_param_length_mismatch_rejected():
     model = nn.build_logreg(4, 2)
     with pytest.raises(ValueError):
-        model.set_params(np.zeros(3))
+        model.bind(np.zeros(3))
+    with pytest.raises(ValueError):
+        model.bind(np.zeros(model.param_count), np.zeros(3))
 
 
 # --- backward --------------------------------------------------------------
@@ -102,8 +104,7 @@ def test_logreg_gradient_matches_closed_form():
     x = rng_uniform(rng, (2, 3), -1.0, 1.0)
     y = np.array([1, 0])
     model = nn.build_logreg(3, 2)
-    nn.init_params(model, rng)
-    params = model.get_params()
+    params = nn.init_params(model, rng)
     _, grad = nn.backward(model, batch := Batch(np.arange(2), x, y), params)
 
     W = params[:6].reshape(3, 2)
@@ -131,11 +132,10 @@ def test_logreg_gradient_matches_closed_form():
 def test_layer_backward_matches_finite_differences(factory, x_shape):
     rng = Rng(61)
     layer = factory()
-    params = [np.zeros(s) for s in layer.param_shapes]
-    grads = [np.zeros(s) for s in layer.param_shapes]
-    layer.attach(params, grads)
-    for p in params:
-        p[:] = rng_uniform(rng, p.shape, -0.8, 0.8)
+    model = nn.Model([layer], x_shape[1:])
+    params = rng_uniform(rng, (model.param_count,), -0.8, 0.8)
+    grads = np.zeros_like(params)
+    model.bind(params, grads)
     x = rng_uniform(rng, x_shape, -1.0, 1.0)
     readout = rng_uniform(rng, layer.forward(x).shape, -1.0, 1.0)
 
@@ -147,21 +147,16 @@ def test_layer_backward_matches_finite_differences(factory, x_shape):
     fd_x = finite_diff_grad(loss_for_input, x.ravel()).reshape(x_shape)
     assert rel_err(dx, fd_x) < 1e-4
 
-    if params:
+    if model.param_count:
         layer.forward(x)
         layer.backward(readout.copy())
-        analytic = np.concatenate([g.ravel() for g in grads])
 
         def loss_for_params(flat):
-            off = 0
-            for p in params:
-                p[:] = flat[off : off + p.size].reshape(p.shape)
-                off += p.size
+            model.bind(flat)
             return float(np.sum(readout * layer.forward(x)))
 
-        p0 = np.concatenate([p.ravel() for p in params])
-        fd_p = finite_diff_grad(loss_for_params, p0)
-        assert rel_err(analytic, fd_p) < 1e-4
+        fd_p = finite_diff_grad(loss_for_params, params)
+        assert rel_err(grads, fd_p) < 1e-4
 
 
 @pytest.mark.parametrize(
@@ -179,12 +174,26 @@ def test_layer_backward_matches_finite_differences(factory, x_shape):
 def test_model_backward_matches_finite_differences(build, input_shape, classes):
     rng = Rng(17)
     model = build()
-    nn.init_params(model, rng)
+    params = nn.init_params(model, rng)
     batch = toy_batch(rng, 6, input_shape, classes)
-    params = model.get_params()
     _, analytic = nn.backward(model, batch, params)
     fd = finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params)
     assert rel_err(analytic, fd) < 1e-4
+
+
+def test_backward_returns_a_new_gradient_each_call():
+    model = nn.build_mlp(6, 4, 3)
+    rng = Rng(19)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, 5, (6,), 3)
+    _, first = nn.backward(model, batch, params)
+    kept = first.copy()
+    _, second = nn.backward(model, batch, params + 0.5)
+    assert not np.shares_memory(first, second)
+    assert not np.array_equal(first, second)
+    assert first.tobytes() == kept.tobytes()  # the second pass wrote none of its bits
+    nn.forward_loss(model, batch, params - 0.5)
+    assert first.tobytes() == kept.tobytes()
 
 
 def test_backward_surfaces_nonfinite_params():
@@ -221,7 +230,7 @@ def test_conv_matches_naive_loop_oracle():
     layer = nn.Conv2d(1, 2, 3)
     W = rng_uniform(rng, (2, 1, 3, 3), -1.0, 1.0)
     b = rng_uniform(rng, (2,), -0.5, 0.5)
-    layer.attach([W, b], [np.zeros_like(W), np.zeros_like(b)])
+    layer.params = [W, b]
     x = rng_uniform(rng, (1, 1, 6, 6), -1.0, 1.0)
     assert np.allclose(layer.forward(x), conv_naive(x, W, b), rtol=0.0, atol=1e-13)
 
@@ -232,6 +241,8 @@ def test_conv_matches_naive_loop_oracle():
 def test_logreg_parameter_count_and_shapes():
     model = nn.build_logreg(784, 10)
     assert model.param_count == 7850
+    model.bind(np.zeros(model.param_count))
+    assert [p.shape for p in model.layers[0].params] == [(784, 10), (10,)]
     x = np.zeros((64, 784))
     assert model.forward(x).shape == (64, 10)
 
@@ -259,6 +270,7 @@ def test_lenet5_parameter_count_and_output_shape():
 
 def test_lenet5_cifar_variant_builds():
     model = nn.build_lenet5((3, 32, 32), 10)
+    model.bind(np.zeros(model.param_count))
     assert model.forward(np.zeros((2, 3, 32, 32))).shape == (2, 10)
 
 
@@ -270,26 +282,26 @@ def test_lenet5_rejects_impossible_extents():
 # --- flat parameter view -----------------------------------------------------
 
 
-def test_flatten_round_trip():
+def test_bind_round_trip():
     model = nn.build_mlp(5, 4, 3)
-    rng = Rng(13)
-    nn.init_params(model, rng)
-    params = model.get_params()
+    params = nn.init_params(model, Rng(13))
     assert params.shape == (model.param_count,)
-    model.set_params(np.zeros_like(params))
-    model.set_params(params)
-    assert np.array_equal(model.get_params(), params)
+    model.bind(np.zeros_like(params))
+    model.bind(params)
+    views = [p for layer in model.layers for p in layer.params]
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), params)
+    assert all(np.shares_memory(v, params) for v in views)  # views, not copies
 
 
 def test_single_flat_index_touches_single_weight():
     model = nn.build_logreg(3, 2)  # 8 parameters, exhaustive
     base = rng_uniform(Rng(4), (model.param_count,), -1.0, 1.0)
     for i in range(model.param_count):
-        model.set_params(base)
+        model.bind(base)
         before = [p.copy() for layer in model.layers for p in layer.params]
         bumped = base.copy()
         bumped[i] += 1.0
-        model.set_params(bumped)
+        model.bind(bumped)
         after = [p for layer in model.layers for p in layer.params]
         changed = sum(int((b != a).sum()) for b, a in zip(before, after))
         assert changed == 1
@@ -298,11 +310,10 @@ def test_single_flat_index_touches_single_weight():
 def test_init_is_seed_deterministic_and_zero_mode_zeroes():
     m1 = nn.build_mlp(6, 4, 3)
     m2 = nn.build_mlp(6, 4, 3)
-    nn.init_params(m1, Rng(5))
-    nn.init_params(m2, Rng(5))
-    assert np.array_equal(m1.get_params(), m2.get_params())
-    nn.init_params(m1, Rng(5), scheme="zeros")
-    assert not m1.get_params().any()
+    p1 = nn.init_params(m1, Rng(5))
+    p2 = nn.init_params(m2, Rng(5))
+    assert np.array_equal(p1, p2)
+    assert not nn.init_params(m1, Rng(5), scheme="zeros").any()
     with pytest.raises(ValueError):
         nn.init_params(m1, Rng(5), scheme="he")
 
@@ -323,9 +334,8 @@ def test_init_bounds_follow_fan_sums():
 def test_probe_counts_every_eval_and_leaves_inputs_untouched():
     model = nn.build_logreg(4, 3)
     rng = Rng(9)
-    nn.init_params(model, rng)
+    params = nn.init_params(model, rng)
     batch = toy_batch(rng, 8, (4,), 3)
-    params = model.get_params()
     _, grad = nn.backward(model, batch, params)
     params_before = params.copy()
     grad_before = grad.copy()

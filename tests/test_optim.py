@@ -16,7 +16,7 @@ from lqa.optim import (
     make_baseline,
 )
 from lqa.oracle import quad_loss_grad, quad_optimal_step, ray_probe
-from lqa.tensor import NonFiniteError, Rng, dot, rng_uniform
+from lqa.tensor import NonFiniteError, Rng, rng_uniform
 
 BASELINES = ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam")
 
@@ -371,7 +371,7 @@ def test_coefficients_independent_of_delta0_and_match_analytic(dim, seed):
     q = synthetic_quadratic(dim, seed)
     theta = rng_uniform(Rng(seed + 100), (dim,), -1.0, 1.0)
     loss0, grad = quad_loss_grad(q, theta)
-    a_exact = dot(grad, grad)  # direction is the gradient itself
+    a_exact = float(grad @ grad)  # direction is the gradient itself
     b_exact = 0.5 * float(grad @ (q.A @ grad))
     expected_rate = quad_optimal_step(q, theta, grad)
     probe = ray_probe(q, theta, grad)
@@ -388,13 +388,12 @@ def test_first_coefficient_identity_on_logreg_batch():
     # a_tilde -> dot(g, g) with O(delta0^2) error: halving shrinks it ~4x
     rng = Rng(5)
     model = nn.build_logreg(10, 4)
-    nn.init_params(model, rng)
+    params = nn.init_params(model, rng)
     x = rng_uniform(rng, (32, 10), -1.0, 1.0)
     y = np.minimum((rng.uniform(32) * 4).astype(np.int64), 3)
     batch = Batch(np.arange(32), x, y)
-    params = model.get_params()
     loss0, grad = nn.backward(model, batch, params)
-    gg = dot(grad, grad)
+    gg = float(grad @ grad)
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
         probe = nn.make_loss_probe(model, batch, params, grad)

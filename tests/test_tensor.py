@@ -1,24 +1,7 @@
 import numpy as np
 import pytest
 
-from lqa.tensor import (
-    Rng,
-    derive_seed,
-    dot,
-    rng_uniform,
-)
-
-
-def kahan_dot(x, y):
-    """Compensated-summation dot product, the accuracy reference."""
-    total = 0.0
-    comp = 0.0
-    for a, b in zip(x, y):
-        term = float(a) * float(b) - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+from lqa.tensor import Rng, derive_seed, rng_uniform
 
 
 _M64 = (1 << 64) - 1
@@ -36,35 +19,6 @@ def splitmix64_reference(seed, count):
         z ^= z >> 31
         out.append(z)
     return out
-
-
-def test_dot_orthogonal():
-    assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_dot_by_hand():
-    v = np.array([3.0, 4.0])
-    assert dot(v, v) == 25.0
-
-
-def test_dot_matches_kahan_oracle():
-    rng = Rng(7)
-    x = rng_uniform(rng, (1000,), -1.0, 1.0)
-    y = rng_uniform(rng, (1000,), -1.0, 1.0)
-    ref = kahan_dot(x, y)
-    assert abs(dot(x, y) - ref) <= 1e-10 * abs(ref)
-
-
-def test_dot_count_mismatch():
-    with pytest.raises(ValueError):
-        dot(np.zeros(2), np.zeros(3))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 17])
-def test_dot_self_nonnegative(seed):
-    x = rng_uniform(Rng(seed), (64,), -5.0, 5.0)
-    assert dot(x, x) > 0.0
-    assert dot(np.zeros(64), np.zeros(64)) == 0.0
 
 
 def test_rng_same_seed_same_stream():
