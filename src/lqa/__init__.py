@@ -10,7 +10,7 @@ live in the submodules.
 
 from .bench import MetricRecord, TrainConfig, run_training
 from .nn import build_lenet5, build_logreg, build_mlp
-from .optim import LqaCoefficients, LqaState, Verdict, lqa_step
+from .optim import LqaState, Verdict, lqa_step
 from .tensor import NonFiniteError, Rng
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "build_lenet5",
     "build_logreg",
     "build_mlp",
-    "LqaCoefficients",
     "LqaState",
     "Verdict",
     "lqa_step",

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,12 +42,6 @@ __all__ = [
 MODELS = ("logreg", "mlp", "lenet5")
 DATASETS = ("mnist", "cifar10", "synthetic-quadratic")
 OPTIMIZERS = ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam", "lqa")
-
-CSV_HEADER = (
-    "epoch,batch_step,train_loss,epoch_loss,lr_used,"
-    "lqa_verdict,forward_count,backward_count,wall_time_s"
-)
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when a run hits a non-finite loss; metrics so far were flushed."""
@@ -103,6 +97,10 @@ class MetricRecord:
     forward_count: int
     backward_count: int
     wall_time_s: float
+
+
+# the metrics CSV's columns are MetricRecord's fields, in order
+CSV_HEADER = ",".join(f.name for f in fields(MetricRecord))
 
 
 def _setup(config, rng, count_probe):
@@ -236,20 +234,14 @@ def run_training(config, clock=time.perf_counter, log=None):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def emit_csv(records, path):
-    """Write records under the fixed 9-column header; floats keep 17 significant digits."""
+    """Write records, one column per MetricRecord field; floats keep 17 significant digits."""
+    columns = [(c.name, c.type is float) for c in fields(MetricRecord)]
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for r in records:
-            f.write(
-                f"{r.epoch},{r.batch_step},{_fmt(r.train_loss)},{_fmt(r.epoch_loss)},"
-                f"{_fmt(r.lr_used)},{r.lqa_verdict},{r.forward_count},"
-                f"{r.backward_count},{_fmt(r.wall_time_s)}\n"
-            )
+            f.write(",".join([format(float(getattr(r, name)), ".17g") if is_float
+                              else str(getattr(r, name)) for name, is_float in columns]) + "\n")
 
 
 def read_metrics(path):
@@ -262,23 +254,12 @@ def read_metrics(path):
             raise ValueError(f"{path} is empty") from None
         if header != CSV_HEADER.split(","):
             raise ValueError(f"{path} does not match the metrics schema")
+        columns = fields(MetricRecord)
         records = []
         for row in reader:
-            if len(row) != 9:
-                raise ValueError(f"{path}: expected 9 columns, got {len(row)}")
-            records.append(
-                MetricRecord(
-                    epoch=int(row[0]),
-                    batch_step=int(row[1]),
-                    train_loss=float(row[2]),
-                    epoch_loss=float(row[3]),
-                    lr_used=float(row[4]),
-                    lqa_verdict=row[5],
-                    forward_count=int(row[6]),
-                    backward_count=int(row[7]),
-                    wall_time_s=float(row[8]),
-                )
-            )
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: expected {len(columns)} columns, got {len(row)}")
+            records.append(MetricRecord(*(c.type(cell) for c, cell in zip(columns, row))))
     return records
 
 
@@ -516,8 +497,8 @@ def check_coefficient_identity(delta0=0.01, seed=5):
 
     def rel_err(d0):
         probe = nn.make_loss_probe(model, batch, params, grad)
-        coeffs = optim.lqa_estimate_coefficients(loss0, probe, d0)
-        return abs(coeffs.a_tilde - gg) / gg
+        a, _ = optim.lqa_estimate_coefficients(loss0, probe, d0)
+        return abs(a - gg) / gg
 
     e1 = rel_err(delta0)
     e2 = rel_err(delta0 / 2.0)

@@ -86,10 +86,6 @@ class Batch:
     inputs: np.ndarray
     labels: np.ndarray
 
-    @property
-    def n(self):
-        return len(self.indices)
-
 
 # ---------------------------------------------------------------------------
 # IDX (MNIST) format
@@ -165,6 +161,11 @@ def _find_idx(directory, stem):
     raise FileNotFoundError(f"{stem}[.gz] not found under {directory}")
 
 
+def _scaled(images, labels):
+    """A 10-class Dataset of uint8 images scaled to [0, 1] by /255."""
+    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), 10)
+
+
 def _load_split(directory, images_stem, labels_stem):
     images = read_idx_images(_find_idx(directory, images_stem))
     labels = read_idx_labels(_find_idx(directory, labels_stem))
@@ -172,11 +173,7 @@ def _load_split(directory, images_stem, labels_stem):
         raise ValueError(
             f"{len(images)} images but {len(labels)} labels under {directory}"
         )
-    return Dataset(
-        inputs=images.astype(np.float64) / 255.0,
-        labels=labels.astype(np.int64),
-        classes=10,
-    )
+    return _scaled(images, labels)
 
 
 def load_mnist(directory):
@@ -215,10 +212,9 @@ def load_cifar10(directory):
     inner = os.path.join(directory, CIFAR10_DIRNAME)
     if os.path.isdir(inner):
         directory = inner
-    train_x, train_y = _read_cifar_files(directory, _CIFAR_TRAIN_FILES)
-    test_x, test_y = _read_cifar_files(directory, _CIFAR_TEST_FILES)
-    make = lambda x, y: Dataset(x.astype(np.float64) / 255.0, y.astype(np.int64), 10)
-    return make(train_x, train_y), make(test_x, test_y)
+    train = _scaled(*_read_cifar_files(directory, _CIFAR_TRAIN_FILES))
+    test = _scaled(*_read_cifar_files(directory, _CIFAR_TEST_FILES))
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def fetch_cifar10(directory, url=CIFAR10_URL, md5=CIFAR10_MD5):
     if not os.path.exists(archive):
         _download(url, archive)
     got = _md5(archive)
-    if md5 is not None and got != md5:
+    if got != md5:
         raise ValueError(f"checksum mismatch for {os.path.basename(url)}: {got} != {md5}")
     with tarfile.open(archive, "r:gz") as tar:
         for member in tar.getmembers():

@@ -256,35 +256,35 @@ class Model:
         return x
 
 
-def _batch_input(model, batch):
+def _loss_head(model, batch):
+    """(loss, dlogits) of the model on the batch, at whatever params are bound."""
     n = len(batch.labels)
     if n == 0:
         raise ValueError("batch is empty")
-    return np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
+    x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
+    loss, dlogits = softmax_cross_entropy(model.forward(x), batch.labels)
+    if not np.isfinite(loss):
+        raise NonFiniteError("forward pass produced a non-finite loss")
+    return loss, dlogits
 
 
 def forward_loss(model, batch, params):
     """Mean batch NLL at the given parameter vector, which is only read."""
     model.bind(params)
-    logits = model.forward(_batch_input(model, batch))
-    loss, _ = softmax_cross_entropy(logits, batch.labels)
-    if not np.isfinite(loss):
-        raise NonFiniteError("forward pass produced a non-finite loss")
-    return loss
+    return _loss_head(model, batch)[0]
 
 
 def backward(model, batch, params):
-    """Batch loss and the exact analytic gradient of forward_loss at params, as a new vector."""
+    """Batch loss and the exact analytic gradient of forward_loss at params, as a new vector.
+
+    Raises NonFiniteError on a non-finite loss. The gradient is not scanned
+    here: the optimizer checks it before writing anything.
+    """
     grad = np.zeros(model.param_count, dtype=np.float64)
     model.bind(params, grad)
-    logits = model.forward(_batch_input(model, batch))
-    loss, d = softmax_cross_entropy(logits, batch.labels)
-    if not np.isfinite(loss):
-        raise NonFiniteError("forward pass produced a non-finite loss")
+    loss, d = _loss_head(model, batch)
     for layer in reversed(model.layers):
         d = layer.backward(d)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("backward pass produced a non-finite gradient")
     return loss, grad
 
 

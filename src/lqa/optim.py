@@ -32,7 +32,6 @@ from .tensor import NonFiniteError
 __all__ = [
     "Verdict",
     "LqaState",
-    "LqaCoefficients",
     "Baseline",
     "lqa_estimate_coefficients",
     "lqa_solve",
@@ -169,16 +168,8 @@ class LqaState:
             raise ValueError("b_min must be positive")
 
 
-@dataclass
-class LqaCoefficients:
-    """Estimated quadratic model -a*s + b*s^2 of the loss change along the ray."""
-
-    a_tilde: float
-    b_tilde: float
-
-
-def lqa_solve(coeffs, state):
-    """Resolve coefficient estimates into a usable rate and a verdict.
+def lqa_solve(a, b, state):
+    """Resolve the coefficient estimates a, b into a usable rate and a verdict.
 
     A healthy fit (positive slope, curvature above the floor) yields
     a/(2b) clamped to [delta_min, delta_max]. Anything degenerate keeps the
@@ -186,7 +177,6 @@ def lqa_solve(coeffs, state):
     non-positive slope or sub-floor curvature means the local shape has no
     meaningful quadratic minimum.
     """
-    a, b = coeffs.a_tilde, coeffs.b_tilde
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteError("coefficient estimates are not finite")
     if a == 0.0 and b == 0.0:
@@ -201,7 +191,7 @@ def lqa_solve(coeffs, state):
 
 
 def lqa_estimate_coefficients(loss0, probe, delta0):
-    """Central-difference estimates of the ray model's two coefficients.
+    """Central-difference estimates (a, b) of the loss change -a*s + b*s^2 along the ray.
 
     With probe(s) = loss at params - s*grad:
         a = [probe(-delta0) - probe(+delta0)] / (2*delta0)
@@ -216,7 +206,7 @@ def lqa_estimate_coefficients(loss0, probe, delta0):
         raise NonFiniteError("probe returned a non-finite loss")
     a = (loss_up - loss_down) / (2.0 * delta0)
     b = (loss_up + loss_down - 2.0 * loss0) / (2.0 * delta0 * delta0)
-    return LqaCoefficients(a, b)
+    return a, b
 
 
 def lqa_step(params, grad, loss0, probe, state):
@@ -227,10 +217,10 @@ def lqa_step(params, grad, loss0, probe, state):
     next step's probe radius) and the verdict on `state`.
     """
     _check_grad(grad)
-    coeffs = lqa_estimate_coefficients(loss0, probe, state.delta0)
+    a, b = lqa_estimate_coefficients(loss0, probe, state.delta0)
     # lqa_solve returns a rate inside [delta_min, delta_max] or state.delta0,
     # which LqaState keeps in that box, so it chains without another clamp
-    rate, verdict = lqa_solve(coeffs, state)
+    rate, verdict = lqa_solve(a, b, state)
     params -= rate * grad
     if not np.all(np.isfinite(params)):
         raise NonFiniteError("update produced non-finite parameters")

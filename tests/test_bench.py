@@ -202,6 +202,34 @@ def test_every_hooked_name_is_called_through_its_module(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("opt", ["lqa", "sgd", "adam"])
+def test_nonfinite_gradient_stops_the_run_before_it_writes(tmp_path, monkeypatch, opt):
+    # nn.backward checks only the loss; the optimizer owns the gradient check
+    data_dir = make_tiny_mnist(tmp_path)
+    real_backward = nn.backward
+    seen = []
+
+    def backward(model, batch, params):
+        loss, grad = real_backward(model, batch, params)
+        seen.append((params, params.copy()))
+        if len(seen) == 3:
+            grad[0] = np.nan  # a finite loss with one NaN in its gradient
+        return loss, grad
+
+    monkeypatch.setattr(nn, "backward", backward)
+    out = tmp_path / "nan.csv"
+    cfg = TrainConfig(
+        model="logreg", dataset="mnist", optimizer=opt, lr=0.1, epochs=2,
+        batch_size=64, seed=4, data_dir=str(data_dir), out=str(out),
+    )
+    with pytest.raises(TrainingDiverged):
+        run_training(cfg, clock=FIXED_CLOCK)
+    assert len(read_metrics(out)) == 2
+    assert len(seen) == 3
+    params, before_step_3 = seen[-1]
+    assert params.tobytes() == before_step_3.tobytes()
+
+
 def test_classification_run_mechanics(tmp_path):
     data_dir = make_tiny_mnist(tmp_path)
     cfg = TrainConfig(
@@ -303,18 +331,33 @@ def test_cifar_paths_run(tmp_path):
 def test_emit_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
-    assert path.read_text() == bench.CSV_HEADER + "\n"
+    # spelled out: the header is derived from MetricRecord, and README and
+    # readers that go by column name depend on these exact names and order
+    assert path.read_text() == (
+        "epoch,batch_step,train_loss,epoch_loss,lr_used,"
+        "lqa_verdict,forward_count,backward_count,wall_time_s\n"
+    )
 
 
 def test_csv_round_trip_exact(tmp_path):
-    rec = MetricRecord(1, 1, 1 / 3, 2 / 7, 0.1234567890123456789, "accepted", 3, 1, 0.5)
-    path = tmp_path / "one.csv"
-    emit_csv([rec], path)
+    recs = [
+        MetricRecord(1, 1, 1 / 3, 2 / 7, 0.1234567890123456789, "accepted", 3, 1, 0.5),
+        # -0.0, the smallest subnormal, the largest double and an int-valued rate
+        MetricRecord(2, 7, -0.0, 5e-324, 1, "clamped", 21, 7, 1.7976931348623157e308),
+    ]
+    path = tmp_path / "two.csv"
+    emit_csv(recs, path)
     text = path.read_text().splitlines()
-    assert len(text) == 2
+    assert len(text) == 3
     assert all(len(line.split(",")) == 9 for line in text)
-    (back,) = read_metrics(path)
-    assert back == rec
+    assert text[1:] == [
+        "1,1,0.33333333333333331,0.2857142857142857,0.12345678901234568,accepted,3,1,0.5",
+        "2,7,-0,4.9406564584124654e-324,1,clamped,21,7,1.7976931348623157e+308",
+    ]
+    back = read_metrics(path)
+    assert back == recs
+    assert math.copysign(1.0, back[1].train_loss) == -1.0
+    assert type(back[1].lr_used) is float and type(back[1].forward_count) is int
 
 
 def test_read_metrics_rejects_schema_drift(tmp_path):

@@ -193,7 +193,7 @@ def test_epoch_batches_exact_cover():
     assert len(batches) == 2
     ids = np.concatenate([b.indices for b in batches])
     assert np.array_equal(np.sort(ids), np.arange(128))
-    assert all(b.n == 64 for b in batches)
+    assert all(len(b.indices) == 64 for b in batches)
 
 
 def test_epoch_batches_drops_remainder():

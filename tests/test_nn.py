@@ -200,8 +200,11 @@ def test_backward_surfaces_nonfinite_params():
     model = nn.build_logreg(3, 2)
     params = np.zeros(model.param_count)
     params[0] = np.inf
+    batch = toy_batch(Rng(0), 2, (3,), 2)
     with pytest.raises(NonFiniteError):
-        nn.forward_loss(model, toy_batch(Rng(0), 2, (3,), 2), params)
+        nn.forward_loss(model, batch, params)
+    with pytest.raises(NonFiniteError):
+        nn.backward(model, batch, params)
 
 
 # --- convolution vs the naive loop oracle -----------------------------------

@@ -7,7 +7,6 @@ import pytest
 from lqa import nn
 from lqa.data import Batch, synthetic_quadratic
 from lqa.optim import (
-    LqaCoefficients,
     LqaState,
     Verdict,
     lqa_estimate_coefficients,
@@ -205,10 +204,10 @@ def quadratic_probe_1d(theta, g):
 def test_estimate_on_one_dimensional_quadratic_by_hand():
     # loss = theta^2/2 at theta=2: probes at 1.8 and 2.2 give 1.62 and 2.42
     probe = quadratic_probe_1d(2.0, 2.0)
-    coeffs = lqa_estimate_coefficients(2.0, probe, 0.1)
-    assert abs(coeffs.a_tilde - 4.0) < 1e-12
-    assert abs(coeffs.b_tilde - 2.0) < 1e-9
-    rate, _ = lqa_solve(coeffs, LqaState(delta0=0.1))
+    a, b = lqa_estimate_coefficients(2.0, probe, 0.1)
+    assert abs(a - 4.0) < 1e-12
+    assert abs(b - 2.0) < 1e-9
+    rate, _ = lqa_solve(a, b, LqaState(delta0=0.1))
     assert abs(rate - 1.0) < 1e-9
     # stepping lands exactly on the minimum
     assert abs(2.0 - rate * 2.0) < 1e-9
@@ -216,10 +215,10 @@ def test_estimate_on_one_dimensional_quadratic_by_hand():
 
 def test_estimate_zero_direction_sees_flat_probe():
     probe = quadratic_probe_1d(2.0, 0.0)
-    coeffs = lqa_estimate_coefficients(2.0, probe, 0.1)
-    assert coeffs.a_tilde == 0.0
-    assert coeffs.b_tilde == 0.0
-    rate, verdict = lqa_solve(coeffs, LqaState(delta0=0.1))
+    a, b = lqa_estimate_coefficients(2.0, probe, 0.1)
+    assert a == 0.0
+    assert b == 0.0
+    rate, verdict = lqa_solve(a, b, LqaState(delta0=0.1))
     assert rate == 0.1  # keeps the probe rate
     assert verdict is Verdict.SKIPPED_ZERO_GRAD
 
@@ -232,10 +231,10 @@ def test_estimate_rejects_nonpositive_delta0():
 def test_estimate_accepts_delta0_outside_default_clamp_box():
     # any positive probe radius is legal for estimation alone
     probe = quadratic_probe_1d(2.0, 2.0)
-    coeffs = lqa_estimate_coefficients(probe(0.0), probe, 20.0)
-    assert abs(coeffs.a_tilde - 4.0) < 1e-10
-    coeffs = lqa_estimate_coefficients(probe(0.0), probe, 1e-8)
-    assert abs(coeffs.a_tilde - 4.0) < 1e-5
+    a, _ = lqa_estimate_coefficients(probe(0.0), probe, 20.0)
+    assert abs(a - 4.0) < 1e-10
+    a, _ = lqa_estimate_coefficients(probe(0.0), probe, 1e-8)
+    assert abs(a - 4.0) < 1e-5
 
 
 def test_estimate_surfaces_nonfinite_probe():
@@ -245,18 +244,18 @@ def test_estimate_surfaces_nonfinite_probe():
 
 def test_solve_verdicts():
     state = LqaState(delta0=0.01, delta_min=1e-6, delta_max=10.0)
-    d, v = lqa_solve(LqaCoefficients(4.0, 2.0), state)
+    d, v = lqa_solve(4.0, 2.0, state)
     assert (d, v) == (1.0, Verdict.ACCEPTED)
-    d, v = lqa_solve(LqaCoefficients(1.0, 1e-15), state)
+    d, v = lqa_solve(1.0, 1e-15, state)
     assert (d, v) == (0.01, Verdict.FALLBACK_SMALL_B)
-    d, v = lqa_solve(LqaCoefficients(-0.3, 2.0), state)
+    d, v = lqa_solve(-0.3, 2.0, state)
     assert (d, v) == (0.01, Verdict.FALLBACK_NONPOSITIVE_A)
-    d, v = lqa_solve(LqaCoefficients(50.0, 1e-3), state)
+    d, v = lqa_solve(50.0, 1e-3, state)
     assert (d, v) == (10.0, Verdict.CLAMPED)  # 25000 clipped to delta_max
-    d, v = lqa_solve(LqaCoefficients(1e-9, 1000.0), state)
+    d, v = lqa_solve(1e-9, 1000.0, state)
     assert (d, v) == (1e-6, Verdict.CLAMPED)  # 5e-13 clipped to delta_min
     with pytest.raises(NonFiniteError):
-        lqa_solve(LqaCoefficients(math.nan, 1.0), state)
+        lqa_solve(math.nan, 1.0, state)
 
 
 def test_state_validation():
@@ -281,9 +280,9 @@ def test_step_on_diagonal_quadratic_matches_derived_values():
         return 0.5 * float(t @ (A @ t))
 
     state = LqaState(delta0=0.1)
-    coeffs = lqa_estimate_coefficients(probe(0.0), probe, 0.1)
-    assert abs(coeffs.a_tilde - 17.0) < 1e-9
-    assert abs(coeffs.b_tilde - 32.5) < 1e-7
+    a, b = lqa_estimate_coefficients(probe(0.0), probe, 0.1)
+    assert abs(a - 17.0) < 1e-9
+    assert abs(b - 32.5) < 1e-7
     assert lqa_step(theta, g, probe(0.0), probe, state) is theta
     assert state.last_verdict is Verdict.ACCEPTED
     assert abs(state.delta0 - 17.0 / 65.0) < 1e-9
@@ -353,7 +352,7 @@ def test_in_place_step_matches_out_of_place_reference_bitwise():
     for _ in range(20):
         loss, grad = quad_loss_grad(q, ref)
         probe = ray_probe(q, ref, grad)
-        rate, verdict = lqa_solve(lqa_estimate_coefficients(loss, probe, ref_state.delta0), ref_state)
+        rate, verdict = lqa_solve(*lqa_estimate_coefficients(loss, probe, ref_state.delta0), ref_state)
         ref = ref - rate * grad
         ref_state = replace(ref_state, delta0=rate, last_verdict=verdict)
 
@@ -376,16 +375,16 @@ def test_coefficients_independent_of_delta0_and_match_analytic(dim, seed):
     expected_rate = quad_optimal_step(q, theta, grad)
     probe = ray_probe(q, theta, grad)
     for d0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        coeffs = lqa_estimate_coefficients(loss0, probe, d0)
-        assert abs(coeffs.a_tilde - a_exact) <= 1e-9 * abs(a_exact)
-        assert abs(coeffs.b_tilde - b_exact) <= 1e-9 * abs(b_exact)
+        a, b = lqa_estimate_coefficients(loss0, probe, d0)
+        assert abs(a - a_exact) <= 1e-9 * abs(a_exact)
+        assert abs(b - b_exact) <= 1e-9 * abs(b_exact)
         state = LqaState(delta0=d0, delta_min=1e-9, delta_max=1e9)
         lqa_step(theta.copy(), grad, loss0, probe, state)
         assert abs(state.delta0 - expected_rate) <= 1e-9 * abs(expected_rate)
 
 
 def test_first_coefficient_identity_on_logreg_batch():
-    # a_tilde -> dot(g, g) with O(delta0^2) error: halving shrinks it ~4x
+    # a -> dot(g, g) with O(delta0^2) error: halving shrinks it ~4x
     rng = Rng(5)
     model = nn.build_logreg(10, 4)
     params = nn.init_params(model, rng)
@@ -397,8 +396,8 @@ def test_first_coefficient_identity_on_logreg_batch():
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
         probe = nn.make_loss_probe(model, batch, params, grad)
-        coeffs = lqa_estimate_coefficients(loss0, probe, d0)
-        errors.append(abs(coeffs.a_tilde - gg))
+        a, _ = lqa_estimate_coefficients(loss0, probe, d0)
+        errors.append(abs(a - gg))
     assert errors[0] / gg < 1e-3
     assert 3.0 < errors[0] / errors[1] < 5.0
     assert 3.0 < errors[1] / errors[2] < 5.0
