@@ -8,6 +8,11 @@ flat float64 vector it is given, so evaluating the loss at a new vector
 nothing. A gradient pass binds a fresh gradient vector of the same layout and
 returns it.
 
+Each pass does only the work a caller reads. The gradient pass stops at the
+first weighted layer, which fills its parameter gradients but computes no
+input gradient, so the layers before it never run backward. MaxPool2 keeps a
+small first-max code per window for its backward, not its input.
+
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
 """
@@ -38,7 +43,13 @@ __all__ = [
 
 
 class Layer:
-    """One stage of a model. Subclasses set param_shapes and fans; Model.bind sets params/grads."""
+    """One stage of a model. Subclasses set param_shapes and fans; Model.bind sets params/grads.
+
+    backward(dout) fills the bound grads and returns the gradient with respect
+    to the last forward's input. The weighted layers, Dense and Conv2d, also
+    take `input_grad`: with False they fill grads and return None, skipping
+    the input gradient that nobody reads below a model's first weighted layer.
+    """
 
     param_shapes = ()
     params = grads = ()
@@ -71,12 +82,12 @@ class Dense(Layer):
         W, b = self.params
         return x @ W + b
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         W, _ = self.params
         gW, gb = self.grads
         gW[:] = self._x.T @ dout
         gb[:] = dout.sum(axis=0)
-        return dout @ W.T
+        return dout @ W.T if input_grad else None
 
 
 class Relu(Layer):
@@ -126,7 +137,7 @@ class Conv2d(Layer):
         self._xshape = x.shape
         return out.reshape(n, oh, ow, self.cout).transpose(0, 3, 1, 2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         n, cin, h, w = self._xshape
         k = self.k
         _, cout, oh, ow = dout.shape
@@ -135,6 +146,8 @@ class Conv2d(Layer):
         dmat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
         gW[:] = (dmat.T @ self._cols).reshape(gW.shape)
         gb[:] = dmat.sum(axis=0)
+        if not input_grad:
+            return None
         dcols = dmat @ W.reshape(cout, -1)
         dcols = dcols.reshape(n, oh, ow, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
         dx = np.zeros(self._xshape, dtype=np.float64)
@@ -145,29 +158,37 @@ class Conv2d(Layer):
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2. Ties break toward the first element."""
+    """2x2 max pooling with stride 2. Ties break toward the first element.
+
+    Forward takes pairwise maxima of the four strided window views and keeps
+    only a uint8 code per window: the row-major position, 0 to 3, of its
+    first maximum. Backward routes each output gradient to that position.
+    The input itself is not kept, which would raise a LeNet-5 run's peak RSS.
+    """
 
     def __init__(self):
-        self._idx = None
-        self._xshape = None
+        self._code = None
 
     def forward(self, x):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial extents, got {h}x{w}")
-        oh, ow = h // 2, w // 2
-        tiles = x.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-        idx = tiles.argmax(axis=4)
-        self._idx = idx
-        self._xshape = x.shape
-        return np.take_along_axis(tiles, idx[..., None], axis=4)[..., 0]
+        win = x.reshape(n, c, h // 2, 2, w // 2, 2)
+        x00, x01 = win[:, :, :, 0, :, 0], win[:, :, :, 0, :, 1]
+        x10, x11 = win[:, :, :, 1, :, 0], win[:, :, :, 1, :, 1]
+        top = np.maximum(x00, x01)
+        bottom = np.maximum(x10, x11)
+        # a later element wins only when strictly greater, as argmax would pick
+        self._code = np.where(top >= bottom, x01 > x00, 2 + (x11 > x10).view(np.uint8))
+        return np.maximum(top, bottom)
 
     def backward(self, dout):
-        n, c, h, w = self._xshape
-        oh, ow = h // 2, w // 2
-        d = np.zeros((n, c, oh, ow, 4), dtype=np.float64)
-        np.put_along_axis(d, self._idx[..., None], dout[..., None], axis=4)
-        return d.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        code = self._code
+        n, c, oh, ow = code.shape
+        d = np.empty((n, c, oh, 2, ow, 2), dtype=np.float64)
+        for pos in range(4):
+            d[:, :, :, pos // 2, :, pos % 2] = np.where(code == pos, dout, 0.0)
+        return d.reshape(n, c, 2 * oh, 2 * ow)
 
 
 class Flatten(Layer):
@@ -278,12 +299,18 @@ def backward(model, batch, params):
     """Batch loss and the exact analytic gradient of forward_loss at params, as a new vector.
 
     Raises NonFiniteError on a non-finite loss. The gradient is not scanned
-    here: the optimizer checks it before writing anything.
+    here: the optimizer checks it before writing anything. The pass stops at
+    the first weighted layer: its input gradient, and every layer before it,
+    feed no parameter gradient.
     """
     grad = np.zeros(model.param_count, dtype=np.float64)
     model.bind(params, grad)
     loss, d = _loss_head(model, batch)
+    first = model._layout[0][0] if model._layout else None
     for layer in reversed(model.layers):
+        if layer is first:
+            layer.backward(d, input_grad=False)
+            break
         d = layer.backward(d)
     return loss, grad
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +151,10 @@ def test_layer_backward_matches_finite_differences(factory, x_shape):
     if model.param_count:
         layer.forward(x)
         layer.backward(readout.copy())
+        filled = grads.copy()
+        grads[:] = 0.0
+        assert layer.backward(readout.copy(), input_grad=False) is None
+        assert grads.tobytes() == filled.tobytes()
 
         def loss_for_params(flat):
             model.bind(flat)
@@ -157,6 +162,39 @@ def test_layer_backward_matches_finite_differences(factory, x_shape):
 
         fd_p = finite_diff_grad(loss_for_params, params)
         assert rel_err(grads, fd_p) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "window,tied",
+    [
+        ((5.0, 5.0, 1.0, 2.0), 0),  # within the top row
+        ((1.0, 5.0, 5.0, 2.0), 1),  # across the row pair, top right vs bottom left
+        ((5.0, 1.0, 2.0, 5.0), 0),  # across the row pair, top left vs bottom right
+        ((2.0, 1.0, 5.0, 5.0), 2),  # within the bottom row
+        ((5.0, 5.0, 5.0, 5.0), 0),  # four-way
+        ((0.0, 0.0, 0.0, 0.0), 0),  # four-way at zero, as after a Relu
+    ],
+)
+def test_pool_tie_routes_gradient_to_first_position(window, tied):
+    # one 2x2 window, positions in row-major order
+    x = np.array(window).reshape(1, 1, 2, 2)
+    pool = nn.MaxPool2()
+    out = pool.forward(x)
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == max(window)
+    dx = pool.backward(np.full((1, 1, 1, 1), 3.0)).ravel()
+    expected = np.zeros(4)
+    expected[tied] = 3.0
+    assert dx.tobytes() == expected.tobytes()  # every other position is exactly +0.0
+
+
+def test_pool_keeps_no_reference_to_its_input():
+    x = rng_uniform(Rng(29), (2, 3, 4, 4), -1.0, 1.0)
+    ref = weakref.ref(x)
+    pool = nn.MaxPool2()
+    pool.forward(x)
+    del x
+    assert ref() is None
 
 
 @pytest.mark.parametrize(
@@ -179,6 +217,23 @@ def test_model_backward_matches_finite_differences(build, input_shape, classes):
     _, analytic = nn.backward(model, batch, params)
     fd = finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params)
     assert rel_err(analytic, fd) < 1e-4
+
+
+def test_lenet5_backward_never_calls_the_layers_before_the_first_conv():
+    model = nn.build_lenet5((1, 28, 28), 4, conv_channels=(2, 3), fc_dims=(6, 5))
+    assert isinstance(model.layers[0], nn.SpatialZeroPad)
+    rng = Rng(37)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, 3, (1, 28, 28), 4)
+    loss, grad = nn.backward(model, batch, params)
+
+    def refuse(dout):
+        raise AssertionError("backward ran below the first weighted layer")
+
+    model.layers[0].backward = refuse
+    loss2, grad2 = nn.backward(model, batch, params)
+    assert loss2 == loss
+    assert grad2.tobytes() == grad.tobytes()
 
 
 def test_backward_returns_a_new_gradient_each_call():
