@@ -2,10 +2,11 @@
 
 MNIST ships as big-endian IDX files (magic 2051 for images, 2049 for labels),
 CIFAR-10 as flat binary batches of 3073-byte records (label byte, then 3072
-channel-planar pixel bytes). Both loaders scale pixels to [0, 1] by /255 and
-nothing else. `fetch_mnist`/`fetch_cifar10` download and checksum-verify the
-archives for machines that have network access; pre-downloaded files work the
-same way.
+channel-planar pixel bytes). Both loaders read the train split only, the one
+training runs use, and scale pixels to [0, 1] by /255 and nothing else.
+`fetch_mnist`/`fetch_cifar10` download and checksum-verify every archive,
+test split included, for machines that have network access; pre-downloaded
+files work the same way.
 """
 
 import gzip
@@ -51,7 +52,6 @@ CIFAR10_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
 CIFAR10_MD5 = "c32a1d4ab5d03f1284b67883e8d87530"
 CIFAR10_DIRNAME = "cifar-10-batches-bin"
 _CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
-_CIFAR_TEST_FILES = ["test_batch.bin"]
 _CIFAR_RECORD = 3073
 
 
@@ -166,21 +166,18 @@ def _scaled(images, labels):
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), 10)
 
 
-def _load_split(directory, images_stem, labels_stem):
-    images = read_idx_images(_find_idx(directory, images_stem))
-    labels = read_idx_labels(_find_idx(directory, labels_stem))
+def load_mnist(directory):
+    """(train,) from the two train IDX files (plain or .gz); t10k is not read.
+
+    A 1-tuple because perfbench's tracer wraps this and indexes its [0].
+    """
+    images = read_idx_images(_find_idx(directory, "train-images-idx3-ubyte"))
+    labels = read_idx_labels(_find_idx(directory, "train-labels-idx1-ubyte"))
     if len(images) != len(labels):
         raise ValueError(
             f"{len(images)} images but {len(labels)} labels under {directory}"
         )
-    return _scaled(images, labels)
-
-
-def load_mnist(directory):
-    """(train, test) from the four standard IDX files (plain or .gz)."""
-    train = _load_split(directory, "train-images-idx3-ubyte", "train-labels-idx1-ubyte")
-    test = _load_split(directory, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-    return train, test
+    return (_scaled(images, labels),)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +185,18 @@ def load_mnist(directory):
 # ---------------------------------------------------------------------------
 
 
-def _read_cifar_files(directory, names):
+def load_cifar10(directory):
+    """(train,) from the five data_batch files; test_batch.bin is not read.
+
+    Accepts either the directory that directly contains the .bin files or its
+    parent (the archive extracts to cifar-10-batches-bin/). A 1-tuple for the
+    same reason as load_mnist.
+    """
+    inner = os.path.join(directory, CIFAR10_DIRNAME)
+    if os.path.isdir(inner):
+        directory = inner
     images, labels = [], []
-    for name in names:
+    for name in _CIFAR_TRAIN_FILES:
         path = os.path.join(directory, name)
         if not os.path.exists(path):
             raise FileNotFoundError(f"{name} not found under {directory}")
@@ -200,21 +206,7 @@ def _read_cifar_files(directory, names):
         recs = raw.reshape(-1, _CIFAR_RECORD)
         labels.append(recs[:, 0])
         images.append(recs[:, 1:].reshape(-1, 3, 32, 32))
-    return np.concatenate(images), np.concatenate(labels)
-
-
-def load_cifar10(directory):
-    """(train, test) from the six binary batch files.
-
-    Accepts either the directory that directly contains the .bin files or its
-    parent (the archive extracts to cifar-10-batches-bin/).
-    """
-    inner = os.path.join(directory, CIFAR10_DIRNAME)
-    if os.path.isdir(inner):
-        directory = inner
-    train = _scaled(*_read_cifar_files(directory, _CIFAR_TRAIN_FILES))
-    test = _scaled(*_read_cifar_files(directory, _CIFAR_TEST_FILES))
-    return train, test
+    return (_scaled(np.concatenate(images), np.concatenate(labels)),)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +306,7 @@ def fetch_cifar10(directory, url=CIFAR10_URL, md5=CIFAR10_MD5):
     """Download (if needed), verify, and extract the CIFAR-10 binary archive."""
     os.makedirs(directory, exist_ok=True)
     target = os.path.join(directory, CIFAR10_DIRNAME)
-    wanted = _CIFAR_TRAIN_FILES + _CIFAR_TEST_FILES
+    wanted = _CIFAR_TRAIN_FILES + ["test_batch.bin"]
     if all(os.path.exists(os.path.join(target, f)) for f in wanted):
         return target
     archive = os.path.join(directory, os.path.basename(url))

@@ -43,12 +43,14 @@ __all__ = [
 
 
 class Layer:
-    """One stage of a model. Subclasses set param_shapes and fans; Model.bind sets params/grads.
+    """One stage of a model. Model.bind sets params/grads.
 
     backward(dout) fills the bound grads and returns the gradient with respect
-    to the last forward's input. The weighted layers, Dense and Conv2d, also
-    take `input_grad`: with False they fill grads and return None, skipping
-    the input gradient that nobody reads below a model's first weighted layer.
+    to the last forward's input. The weighted layers, Dense and Conv2d, set
+    param_shapes and define fans(), the (fan_in, fan_out) of their weight
+    tensor that init_params reads. They also take `input_grad`: with False
+    they fill grads and return None, skipping the input gradient that nobody
+    reads below a model's first weighted layer.
     """
 
     param_shapes = ()
@@ -59,10 +61,6 @@ class Layer:
 
     def backward(self, dout):
         raise NotImplementedError
-
-    def fans(self):
-        """(fan_in, fan_out) of the weight tensor, or None for parameterless layers."""
-        return None
 
 
 class Dense(Layer):
@@ -329,11 +327,8 @@ def init_params(model, rng, scheme="default"):
     model.bind(params)
     if scheme == "zeros":
         return params
-    for layer in model.layers:
-        fans = layer.fans()
-        if fans is None:
-            continue
-        fan_in, fan_out = fans
+    for layer, _ in model._layout:
+        fan_in, fan_out = layer.fans()
         r = np.sqrt(6.0 / (fan_in + fan_out))
         W = layer.params[0]
         W[:] = rng_uniform(rng, W.shape, -r, r)

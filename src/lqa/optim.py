@@ -4,8 +4,10 @@ Every step overwrites the `params` vector it is given and returns that same
 array, so callers must own the vector they pass. A NaN or Inf in a step's
 inputs raises NonFiniteError before anything is written (LQA also rejects a
 non-finite result after writing it). The six baselines (SGD, momentum,
-Nesterov, AdaGrad, RMSProp, Adam) are the canonical recurrences with the
-usual defaults, stepped by `make_baseline(...).step`.
+Nesterov, AdaGrad, RMSProp, Adam) are the canonical recurrences at fixed
+textbook hyperparameters (momentum and RMSProp decay 0.9, Adam's beta1 0.9
+and beta2 0.999, eps 1e-8); only the rate is set per run. They are stepped
+by `make_baseline(...).step`.
 
 The seventh, `lqa_step`, picks its learning rate per batch step: it models
 the batch loss along the gradient direction as a quadratic in the step size,
@@ -33,6 +35,7 @@ __all__ = [
     "Verdict",
     "LqaState",
     "Baseline",
+    "BASELINES",
     "lqa_estimate_coefficients",
     "lqa_solve",
     "lqa_step",
@@ -50,24 +53,27 @@ def _check_grad(grad):
 # ---------------------------------------------------------------------------
 
 
-class Baseline:
-    """One baseline optimizer: its hyperparameters and accumulators between steps."""
+BASELINES = ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam")
 
-    def __init__(self, name, lr, dim, mu=0.9, rho=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
-        if name not in ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam"):
+
+class Baseline:
+    """One baseline optimizer: its rate and its accumulators between steps.
+
+    Momentum mu, RMSProp decay rho, Adam's beta1/beta2 and eps are fixed at
+    the textbook 0.9, 0.9, 0.9/0.999 and 1e-8.
+    """
+
+    mu = rho = beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, name, lr, dim):
+        if name not in BASELINES:
             raise ValueError(f"unknown optimizer {name!r}")
         if not lr >= 0.0:
             raise ValueError("lr must be non-negative")
-        for what, value in (("momentum", mu), ("rho", rho), ("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{what} must be in [0, 1)")
         self.name = name
         self.lr = lr
-        self.mu = mu
-        self.rho = rho
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         # velocity (momentum), sum or mean of squares (AdaGrad, RMSProp), first moment (Adam)
         self.acc = None if name == "sgd" else np.zeros(dim, dtype=np.float64)
         if name == "adam":
@@ -122,9 +128,9 @@ class Baseline:
         return params
 
 
-def make_baseline(name, lr, dim, **hyper):
+def make_baseline(name, lr, dim):
     """A stateful in-place stepper for one of the six baseline optimizers."""
-    return Baseline(name, lr, dim, **hyper)
+    return Baseline(name, lr, dim)
 
 
 # ---------------------------------------------------------------------------

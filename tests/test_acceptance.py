@@ -34,12 +34,8 @@ DATA_DIR = os.environ.get("LQA_DATA_DIR", os.path.join(REPO_ROOT, "data"))
 MNIST_DIR = os.path.join(DATA_DIR, "mnist")
 RUNS_DIR = os.path.join(REPO_ROOT, "acceptance_runs")
 
-_MNIST_STEMS = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
+# the runs read the train split only
+_MNIST_STEMS = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
 
 
 def _have_mnist():
@@ -107,9 +103,7 @@ def _loss_at_epoch(records, epoch):
 def test_criterion_01_quadratic_exactness():
     with criterion(1, "rate estimator exact on random quadratics"):
         t0 = time.perf_counter()
-        worst = check_quadratic_exactness(
-            instances=50, dims=(1, 2, 10, 100), deltas=(1e-4, 1e-2, 1.0)
-        )
+        worst = check_quadratic_exactness()
         elapsed = time.perf_counter() - t0
         assert worst < 1e-9, f"worst relative error {worst:.3e}"
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -118,7 +112,7 @@ def test_criterion_01_quadratic_exactness():
 def test_criterion_02_gradient_correctness():
     with criterion(2, "every layer and builder passes gradient checks"):
         t0 = time.perf_counter()
-        errors = check_gradient_correctness(h=1e-5)
+        errors = check_gradient_correctness()
         elapsed = time.perf_counter() - t0
         expected = {
             "dense", "relu", "conv", "pool", "pad", "flatten", "loss_head",
@@ -133,7 +127,7 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_coefficient_identity():
     with criterion(3, "linear coefficient identity with quadratic error decay"):
         t0 = time.perf_counter()
-        rel_err, ratio = check_coefficient_identity(delta0=0.01)
+        rel_err, ratio = check_coefficient_identity()
         elapsed = time.perf_counter() - t0
         assert rel_err < 1e-3, f"relative error {rel_err:.3e} at delta0=0.01"
         assert 3.0 <= ratio <= 5.0, f"halving shrank the error by {ratio:.2f}x"

@@ -483,6 +483,21 @@ def test_cli_train_reports_missing_data(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cli_train_reads_only_the_train_split(tmp_path):
+    data_dir = make_tiny_mnist(tmp_path)
+    for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+        (data_dir / "mnist" / name).unlink()
+    out = tmp_path / "x.csv"
+    code = bench.cli_main(
+        [
+            "train", "--dataset", "mnist", "--optimizer", "lqa", "--epochs", "1",
+            "--data-dir", str(data_dir), "--out", str(out), "--quiet",
+        ]
+    )
+    assert code == 0
+    assert len(read_metrics(out)) == 192 // 64
+
+
 def test_cli_verify_passes():
     assert bench.cli_main(["verify"]) == 0
 

@@ -54,7 +54,7 @@ def test_idx_round_trip_is_bit_exact(tmp_path):
 def test_loaded_dataset_reserializes_to_original_bytes(tmp_path):
     # /255 scaling loses nothing: scaled inputs map back to the exact file bytes
     d, _ = make_mnist_dir(tmp_path)
-    train, _ = load_mnist(d)
+    (train,) = load_mnist(d)
     recovered = np.round(train.inputs * 255.0).astype(np.uint8)
     out = tmp_path / "rebuilt"
     write_idx_images(out, recovered)
@@ -109,8 +109,8 @@ def test_idx_trailing_garbage_rejected(tmp_path):
 
 def test_load_mnist_shapes_scaling_and_gz(tmp_path):
     d, splits = make_mnist_dir(tmp_path)
-    train, test = load_mnist(d)
-    assert train.n == 96 and test.n == 32
+    (train,) = load_mnist(d)
+    assert train.n == 96
     assert train.inputs.shape == (96, 28, 28)
     assert train.inputs.min() >= 0.0 and train.inputs.max() <= 1.0
     assert np.array_equal(train.labels, splits["train"][1].astype(np.int64))
@@ -122,7 +122,7 @@ def test_load_mnist_shapes_scaling_and_gz(tmp_path):
     for name in os.listdir(d):
         with open(d / name, "rb") as src, gzip.open(gz / (name + ".gz"), "wb") as dst:
             dst.write(src.read())
-    train_gz, _ = load_mnist(gz)
+    (train_gz,) = load_mnist(gz)
     assert np.array_equal(train_gz.inputs, train.inputs)
 
 
@@ -160,8 +160,8 @@ def make_cifar_dir(tmp_path, per_file=7, seed=3):
 
 def test_load_cifar10_record_layout(tmp_path):
     base, store = make_cifar_dir(tmp_path)
-    train, test = load_cifar10(base)
-    assert train.n == 35 and test.n == 7
+    (train,) = load_cifar10(base)
+    assert train.n == 35
     assert train.inputs.shape == (35, 3, 32, 32)
     assert train.classes == 10
     labels, pixels = store["data_batch_1.bin"]
@@ -169,6 +169,13 @@ def test_load_cifar10_record_layout(tmp_path):
     # channel-planar: first 1024 payload bytes are the red plane
     red = pixels[0, :1024].reshape(32, 32) / 255.0
     assert np.allclose(train.inputs[0, 0], red)
+
+
+def test_load_cifar10_needs_no_test_batch(tmp_path):
+    base, _ = make_cifar_dir(tmp_path)
+    (base / "cifar-10-batches-bin" / "test_batch.bin").unlink()
+    (train,) = load_cifar10(base)
+    assert train.n == 35
 
 
 def test_load_cifar10_truncated_rejected(tmp_path):
@@ -279,8 +286,10 @@ def test_fetch_mnist_verifies_and_decompresses(tmp_path):
 
     dest = tmp_path / "dest"
     fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
-    train, test = load_mnist(dest)
-    assert train.n == 96 and test.n == 32
+    (train,) = load_mnist(dest)
+    assert train.n == 96
+    # fetch still decompresses the test split the loader does not read
+    assert len(read_idx_labels(dest / "t10k-labels-idx1-ubyte")) == 32
 
 
 def test_fetch_mnist_checksum_mismatch(tmp_path):
@@ -306,8 +315,9 @@ def test_fetch_cifar10_extracts_expected_members(tmp_path):
 
     dest = tmp_path / "dest"
     out = fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
-    train, test = load_cifar10(out)
-    assert train.n == 35 and test.n == 7
+    (train,) = load_cifar10(out)
+    assert train.n == 35
+    assert os.path.getsize(os.path.join(out, "test_batch.bin")) == 7 * 3073
 
 
 # --- checks against the real datasets, when fetched ------------------------------
@@ -320,11 +330,10 @@ _REPO_DATA = os.environ.get(
 def test_real_mnist_counts_and_layout():
     mnist_dir = os.path.join(_REPO_DATA, "mnist")
     try:
-        train, test = load_mnist(mnist_dir)
+        (train,) = load_mnist(mnist_dir)
     except FileNotFoundError:
         pytest.skip(f"real MNIST not fetched under {mnist_dir}")
-    assert train.n + test.n == 70_000
-    assert train.n == 60_000 and test.n == 10_000
+    assert train.n == 60_000
     assert train.inputs.shape[1:] == (28, 28)
     assert np.unique(train.labels).size == 10
     # first training label straight from the file bytes
@@ -334,9 +343,9 @@ def test_real_mnist_counts_and_layout():
 
 def test_real_cifar10_counts():
     try:
-        train, test = load_cifar10(_REPO_DATA)
+        (train,) = load_cifar10(_REPO_DATA)
     except FileNotFoundError:
         pytest.skip(f"real CIFAR-10 not fetched under {_REPO_DATA}")
-    assert train.n + test.n == 60_000
+    assert train.n == 50_000
     assert train.classes == 10
     assert train.inputs.shape[1:] == (3, 32, 32)
