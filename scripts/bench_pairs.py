@@ -1,0 +1,121 @@
+"""Alternating parent/change pairs of perfbench runs, folded into one BENCH file.
+
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
+        [--seed 901] mlp-mnist=10 lenet5-mnist=5 logreg-mnist60k=5
+
+Run from the root of a source checkout. REV is extracted with `git archive`
+into a temporary directory (no worktree entry is left behind); the change is
+the working tree as it stands, uncommitted edits included. Pair k of a
+workload runs `perfbench/run.py --workload W --seed SEED+k --seconds 35
+--trace 0` (the run length perfbench and BENCHMARK.json are defined at) once
+on each side, the parent first in even pairs and the change first in odd
+ones. After every pair the output JSON is rewritten with:
+
+- this invocation's command line, so the file can be made again;
+- each pair's seed, order, and both sides' six end-to-end metrics, `correct`,
+  `attempted` and `failed`;
+- per workload and metric, each side's median and quartiles, how many pairs
+  the change won (by the metric's better direction in BENCHMARK.json; ties
+  count for neither side), the medians' relative change (change - parent) /
+  parent, whether that is worse than the metric's bound, and whether the
+  gain rule holds: at least nine tenths of the pairs won and the medians
+  apart by more than the parent's interquartile range;
+- each side's `env:` line as perfbench printed it.
+"""
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDE_COMMAND = ["perfbench/run.py", "--seconds", "35", "--trace", "0"]
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
+def run_side(tree, workload, seed):
+    """One untraced perfbench run in `tree`: (result JSON, env line)."""
+    cmd = [sys.executable, *SIDE_COMMAND, "--workload", workload, "--seed", str(seed)]
+    got = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+    lines = got.stdout.strip().splitlines()
+    env = next(line for line in lines if line.startswith("env:"))
+    return json.loads(lines[-1]), env
+
+
+def summarize(pairs, spec):
+    """Per metric: each side's quartiles, the change's wins and the two verdicts."""
+    out = {}
+    for metric in spec:
+        name, lower = metric["name"], metric["better"] == "lower"
+        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
+        q = {side: np.percentile(v, [25, 50, 75]).tolist() for side, v in sides.items()}
+        sign = 1.0 if lower else -1.0  # a positive gain is an improvement
+        wins = sum(sign * (a - b) > 0 for a, b in zip(sides["parent"], sides["change"]))
+        med_gain = sign * (q["parent"][1] - q["change"][1])
+        out[name] = {
+            "unit": metric["unit"],
+            "parent_q1_median_q3": q["parent"],
+            "change_q1_median_q3": q["change"],
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "median_change_rel": (q["change"][1] - q["parent"][1]) / q["parent"][1] if q["parent"][1] else None,
+            "bound": metric["bound"],
+            "worse_than_bound": med_gain < -metric["bound"] * abs(q["parent"][1]),
+            "gain_rule_met": wins >= 0.9 * len(pairs) and med_gain > q["parent"][2] - q["parent"][0],
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--seed", type=int, default=901, help="seed of pair 0; pair k uses seed + k")
+    parser.add_argument("plan", nargs="+", metavar="WORKLOAD=PAIRS")
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(argv)
+    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.plan)]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)["end_to_end"]
+
+    record = {
+        "command": shlex.join(["python3", "scripts/bench_pairs.py", *argv]),
+        "side_command": shlex.join([*SIDE_COMMAND, "--workload", "W", "--seed", "SEED"]),
+        "parent": git("rev-parse", args.parent).strip(),
+        "change": "working tree at %s%s" % (
+            git("rev-parse", "HEAD").strip(), " with uncommitted edits" if git("status", "--porcelain") else ""),
+        "env": {},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_tree:
+        archive = subprocess.run(["git", "archive", record["parent"]], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive.stdout, check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload, n in plan:
+            pairs = []
+            for k in range(n):
+                seed = args.seed + k
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side], record["env"][side] = run_side(trees[side], workload, seed)
+                pairs.append(pair)
+                record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec)}
+                with open(args.out, "w") as f:
+                    json.dump(record, f, indent=1)
+                lqa = {side: pair[side]["metrics"]["lqa_step_ms"]["value"] for side in ("parent", "change")}
+                print(f"{workload} seed {seed}: lqa_step_ms parent {lqa['parent']:.4g} "
+                      f"change {lqa['change']:.4g}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

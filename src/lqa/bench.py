@@ -109,7 +109,9 @@ def _setup(config, rng, count_probe):
     params is the initial vector, owned by the caller; epoch() returns one
     epoch's batches; evaluate(batch, params) returns the batch loss, its
     gradient and probe(s), the loss at params - s*grad. Each probe call is one
-    forward pass and calls count_probe().
+    forward pass and calls count_probe(). A model run allocates one scratch
+    vector of params' shape, which every probe of every step writes its point
+    into, so probing allocates no parameter-sized vector.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(config.quad_dim, derive_seed(config.seed, 0))
@@ -146,10 +148,11 @@ def _setup(config, rng, count_probe):
     else:
         model = nn.build_lenet5(image_shape, 10)
     params = nn.init_params(model, rng, config.init)
+    scratch = np.empty_like(params)
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
-        return loss, grad, nn.make_loss_probe(model, batch, params, grad, on_eval=count_probe)
+        return loss, grad, nn.make_loss_probe(model, batch, params, grad, scratch, on_eval=count_probe)
 
     def epoch():
         return data_mod.epoch_batches(train, config.batch_size, rng)
@@ -500,7 +503,7 @@ def check_coefficient_identity():
     gg = float(grad @ grad)
 
     def rel_err(d0):
-        probe = nn.make_loss_probe(model, batch, params, grad)
+        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
         a, _ = optim.lqa_estimate_coefficients(loss0, probe, d0)
         return abs(a - gg) / gg
 

@@ -5,8 +5,10 @@ cross-entropy head. A model holds the layout of its parameters, never their
 values: each pass binds the layers' weight tensors to reshaped views of the
 flat float64 vector it is given, so evaluating the loss at a new vector
 (which the probe-based optimizer does three times per batch step) copies
-nothing. A gradient pass binds a fresh gradient vector of the same layout and
-returns it.
+nothing. A gradient pass binds a fresh gradient vector of the same layout,
+which the weighted layers fill in place, and returns it. The loss probe
+writes each probe point into a scratch vector the caller owns, so probing
+allocates no parameter-sized vector.
 
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
@@ -83,8 +85,8 @@ class Dense(Layer):
     def backward(self, dout, input_grad=True):
         W, _ = self.params
         gW, gb = self.grads
-        gW[:] = self._x.T @ dout
-        gb[:] = dout.sum(axis=0)
+        np.matmul(self._x.T, dout, out=gW)
+        np.sum(dout, axis=0, out=gb)
         return dout @ W.T if input_grad else None
 
 
@@ -142,8 +144,8 @@ class Conv2d(Layer):
         W, _ = self.params
         gW, gb = self.grads
         dmat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
-        gW[:] = (dmat.T @ self._cols).reshape(gW.shape)
-        gb[:] = dmat.sum(axis=0)
+        np.matmul(dmat.T, self._cols, out=gW.reshape(cout, -1))
+        np.sum(dmat, axis=0, out=gb)
         if not input_grad:
             return None
         dcols = dmat @ W.reshape(cout, -1)
@@ -390,16 +392,22 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     return Model(layers, input_shape)
 
 
-def make_loss_probe(model, batch, params, grad, on_eval=None):
+def make_loss_probe(model, batch, params, grad, scratch, on_eval=None):
     """Probe(s) = mean batch loss at params - s*grad, without touching `params`.
 
-    Every call is one forward pass and calls `on_eval` (if given) once, which
-    is how the runner counts that cost.
+    Each call writes the probe point params - s*grad into `scratch`, a vector
+    of params' shape that the caller owns and that aliases neither `params`
+    nor `grad`; it holds that point when the call returns. The point has the
+    same bits as the out-of-place expression. Every call is one forward pass
+    and calls `on_eval` (if given) once, which is how the runner counts that
+    cost.
     """
 
     def probe(s):
         if on_eval is not None:
             on_eval()
-        return forward_loss(model, batch, params - float(s) * grad)
+        np.multiply(grad, float(s), out=scratch)
+        np.subtract(params, scratch, out=scratch)
+        return forward_loss(model, batch, scratch)
 
     return probe

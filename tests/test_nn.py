@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -398,13 +399,43 @@ def test_probe_counts_every_eval_and_leaves_inputs_untouched():
     params_before = params.copy()
     grad_before = grad.copy()
     evals = []
-    probe = nn.make_loss_probe(model, batch, params, grad, on_eval=lambda: evals.append(1))
+    scratch = np.empty_like(params)
+    probe = nn.make_loss_probe(model, batch, params, grad, scratch, on_eval=lambda: evals.append(1))
     assert evals == []
     shifted = probe(0.05)
     assert len(evals) == 1
     assert shifted == nn.forward_loss(model, batch, params - 0.05 * grad)
     assert probe(0.05) == shifted  # pure: same input, same value
     assert len(evals) == 2
+    # the probe point lands in the scratch, bit for bit the out-of-place one
+    for s in (0.05, -0.05):
+        point = params - s * grad
+        assert probe(s) == nn.forward_loss(model, batch, point)
+        assert scratch.tobytes() == point.tobytes()
     # the caller's vectors were never touched
-    assert np.array_equal(params, params_before)
-    assert np.array_equal(grad, grad_before)
+    assert params.tobytes() == params_before.tobytes()
+    assert grad.tobytes() == grad_before.tobytes()
+
+
+def traced_peak(fn):
+    """Peak bytes that one fn() call allocates; tracemalloc sees numpy's buffers."""
+    fn()  # warm-up: a one-time allocation is not a per-step cost
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_and_backward_allocate_no_parameter_sized_temporary():
+    # 204,810 parameters against a 2-image batch, so activations stay small
+    model = nn.build_mlp(100, 400, 10)
+    rng = Rng(12)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, 2, (100,), 10)
+    _, grad = nn.backward(model, batch, params)
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    # a gradient pass allocates the gradient it returns, and nothing near its size
+    assert traced_peak(lambda: nn.backward(model, batch, params)) / params.nbytes < 1.25
+    assert traced_peak(lambda: probe(0.05)) / params.nbytes < 0.25

@@ -370,7 +370,7 @@ def test_first_coefficient_identity_on_logreg_batch():
     gg = float(grad @ grad)
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
-        probe = nn.make_loss_probe(model, batch, params, grad)
+        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
         a, _ = lqa_estimate_coefficients(loss0, probe, d0)
         errors.append(abs(a - gg))
     assert errors[0] / gg < 1e-3
