@@ -4,7 +4,7 @@
 
 For a fixed config and seed the metrics CSV is the program's behaviour, so a
 change that must not alter behaviour keeps every hash. The gate writes a
-320/64-image MNIST-shaped IDX set drawn from numpy.random.default_rng(123),
+320-image MNIST-shaped train split drawn from numpy.random.default_rng(123),
 then runs {logreg, mlp, lenet5, synthetic-quadratic} x the seven optimizers
 for 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a fixed clock
 and prints one `model-optimizer sha256` line per run. With --check FILE it
@@ -34,15 +34,14 @@ MODELS = ("logreg", "mlp", "lenet5", "synthetic-quadratic")
 
 
 def write_inputs(base):
-    """The gate's input set under base/mnist, drawn in a fixed order."""
+    """The gate's train split under base/mnist, the only split a run reads."""
     rng = np.random.default_rng(123)
     directory = os.path.join(base, "mnist")
     os.makedirs(directory)
-    for stem, n in (("train", 320), ("t10k", 64)):
-        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        data.write_idx_images(os.path.join(directory, f"{stem}-images-idx3-ubyte"), images)
-        data.write_idx_labels(os.path.join(directory, f"{stem}-labels-idx1-ubyte"), labels)
+    images = rng.integers(0, 256, size=(320, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=320, dtype=np.uint8)
+    data.write_idx_images(os.path.join(directory, "train-images-idx3-ubyte"), images)
+    data.write_idx_labels(os.path.join(directory, "train-labels-idx1-ubyte"), labels)
 
 
 def gate_hashes(base):

@@ -42,6 +42,9 @@ __all__ = [
 MODELS = ("logreg", "mlp", "lenet5")
 DATASETS = ("mnist", "cifar10", "synthetic-quadratic")
 OPTIMIZERS = (*optim.BASELINES, "lqa")
+# the synthetic quadratic objective's dimension
+QUAD_DIM = 10
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a run hits a non-finite loss; metrics so far were flushed."""
@@ -57,11 +60,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     init: str = "default"
-    delta0: float = optim.LqaState.delta0
-    delta_min: float = optim.LqaState.delta_min
-    delta_max: float = optim.LqaState.delta_max
-    b_min: float = optim.LqaState.b_min
-    quad_dim: int = 10
     data_dir: str | None = None
     out: str | None = None
 
@@ -80,10 +78,6 @@ class TrainConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.optimizer != "lqa" and (self.lr is None or not self.lr > 0.0):
             raise ValueError(f"optimizer {self.optimizer!r} requires a positive --lr")
-        if self.dataset == "synthetic-quadratic" and self.quad_dim < 1:
-            raise ValueError("quad-dim must be at least 1")
-        # surfaces bad probe-rate bounds early
-        optim.LqaState(self.delta0, self.delta_min, self.delta_max, self.b_min)
 
 
 @dataclass
@@ -114,11 +108,11 @@ def _setup(config, rng, count_probe):
     into, so probing allocates no parameter-sized vector.
     """
     if config.dataset == "synthetic-quadratic":
-        objective = data_mod.synthetic_quadratic(config.quad_dim, derive_seed(config.seed, 0))
+        objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))
         if config.init == "zeros":
-            params = np.zeros(config.quad_dim, dtype=np.float64)
+            params = np.zeros(QUAD_DIM, dtype=np.float64)
         else:
-            params = rng_uniform(rng, (config.quad_dim,), -1.0, 1.0)
+            params = rng_uniform(rng, (QUAD_DIM,), -1.0, 1.0)
 
         def evaluate(batch, params):
             loss, grad = oracle.quad_loss_grad(objective, params)
@@ -181,7 +175,7 @@ def run_training(config, clock=time.perf_counter, log=None):
     if config.out:
         emit_csv([], config.out)
     if config.optimizer == "lqa":
-        state = optim.LqaState(config.delta0, config.delta_min, config.delta_max, config.b_min)
+        state = optim.LqaState()
 
         def update(params, grad, loss, probe):
             optim.lqa_step(params, grad, loss, probe, state)
@@ -405,7 +399,7 @@ def check_quadratic_exactness():
         loss0, grad = oracle.quad_loss_grad(q, theta)
         expected = oracle.quad_optimal_step(q, theta, grad)
         for d0 in (1e-4, 1e-2, 1.0):
-            state = optim.LqaState(delta0=d0, delta_min=1e-9, delta_max=1e9)
+            state = optim.LqaState(delta0=d0)
             probe = oracle.ray_probe(q, theta, grad)
             optim.lqa_step(theta.copy(), grad, loss0, probe, state)
             worst = max(worst, abs(state.delta0 - expected) / abs(expected))
@@ -571,11 +565,6 @@ def _build_parser():
     p_train.add_argument("--epochs", type=int, required=True)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--init", choices=("default", "zeros"))
-    p_train.add_argument("--delta0", type=float, help="initial probe rate")
-    p_train.add_argument("--delta-min", type=float)
-    p_train.add_argument("--delta-max", type=float)
-    p_train.add_argument("--b-min", type=float, help="curvature floor")
-    p_train.add_argument("--quad-dim", type=int)
     p_train.add_argument("--data-dir")
     p_train.add_argument("--out", required=True, help="metrics CSV path")
     p_train.add_argument("--fixed-clock", action="store_true", default=False,
@@ -625,7 +614,7 @@ def cli_main(argv=None):
             return 0
 
         return 1 if run_verification() else 0
-    except (ValueError, FileNotFoundError, TrainingDiverged) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,10 @@ The seventh, `lqa_step`, picks its learning rate per batch step: it models
 the batch loss along the gradient direction as a quadratic in the step size,
 estimates the two coefficients from the loss at params -+ delta0*grad (two
 extra forward passes, no second derivatives), and steps with the minimizer
-a/(2b). Degenerate fits fall back to the previous rate instead of failing.
-`LqaState` carries the rate and the verdict from one step to the next.
+a/(2b), clamped to a fixed box. Degenerate fits fall back to the previous
+rate instead of failing. Nothing about the rate is set per run: `LqaState`
+carries it and the verdict from one step to the next, and holds the box and
+the curvature floor as constants.
 
 Sign convention, fixed once: probe(s) evaluates the loss at params - s*grad,
 so the probe at -delta0 is the "uphill" point params + delta0*grad. With that
@@ -150,28 +152,27 @@ class Verdict(enum.Enum):
 
 @dataclass
 class LqaState:
-    """Probe rate and safeguards carried from one batch step to the next.
+    """The rate carried from one batch step to the next, and its verdict.
 
-    delta0 is the probe radius, seeded small and thereafter chained from the
-    previous step's solved rate. The clamp box and the curvature floor guard
-    the solved rate against degenerate local shapes the quadratic model
-    cannot represent.
+    delta0 is the probe radius, seeded at 0.01 and thereafter chained from
+    the previous step's solved rate. The safeguards are constants of the
+    method, not settings: the clamp box [delta_min, delta_max] = [1e-6, 10]
+    and the curvature floor b_min = 1e-12 guard the solved rate against
+    degenerate local shapes the quadratic model cannot represent.
     """
 
+    delta_min = 1e-6
+    delta_max = 10.0
+    b_min = 1e-12
+
     delta0: float = 0.01
-    delta_min: float = 1e-6
-    delta_max: float = 10.0
-    b_min: float = 1e-12
     last_verdict: Verdict | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.delta_min <= self.delta0 <= self.delta_max):
+        if not self.delta_min <= self.delta0 <= self.delta_max:
             raise ValueError(
-                f"need 0 < delta_min <= delta0 <= delta_max, got "
-                f"[{self.delta_min}, {self.delta0}, {self.delta_max}]"
+                f"delta0 must lie in [{self.delta_min}, {self.delta_max}], got {self.delta0}"
             )
-        if not self.b_min > 0.0:
-            raise ValueError("b_min must be positive")
 
 
 def lqa_solve(a, b, state):

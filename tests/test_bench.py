@@ -23,7 +23,7 @@ FIXED_CLOCK = lambda: 0.0
 
 
 def quad_config(**kw):
-    base = dict(dataset="synthetic-quadratic", optimizer="lqa", epochs=4, seed=3, quad_dim=6)
+    base = dict(dataset="synthetic-quadratic", optimizer="lqa", epochs=4, seed=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -60,7 +60,6 @@ def test_unknown_names_rejected():
         dict(epochs=0),
         dict(batch_size=0),
         dict(init="he"),
-        dict(delta0=0.0),
     ):
         cfg = TrainConfig(**{**dict(optimizer="lqa", epochs=1), **bad})
         with pytest.raises(ValueError):
@@ -76,8 +75,8 @@ def test_lr_ignored_for_lqa():
 
 def test_quadratic_first_step_matches_closed_form_oracle():
     recs = run_training(quad_config(epochs=2), clock=FIXED_CLOCK)
-    obj = synthetic_quadratic(6, derive_seed(3, 0))
-    theta0 = rng_uniform(Rng(derive_seed(3, 1)), (6,), -1.0, 1.0)
+    obj = synthetic_quadratic(bench.QUAD_DIM, derive_seed(3, 0))
+    theta0 = rng_uniform(Rng(derive_seed(3, 1)), (bench.QUAD_DIM,), -1.0, 1.0)
     loss0, g = quad_loss_grad(obj, theta0)
     rate = quad_optimal_step(obj, theta0, g)
     post_loss, _ = quad_loss_grad(obj, theta0 - rate * g)
@@ -107,8 +106,8 @@ def test_seed_changes_trajectory():
 
 def test_zeros_init_starts_at_origin():
     recs = run_training(quad_config(init="zeros", epochs=1), clock=FIXED_CLOCK)
-    obj = synthetic_quadratic(6, derive_seed(3, 0))
-    loss0, _ = quad_loss_grad(obj, np.zeros(6))
+    obj = synthetic_quadratic(bench.QUAD_DIM, derive_seed(3, 0))
+    loss0, _ = quad_loss_grad(obj, np.zeros(bench.QUAD_DIM))
     assert abs(recs[0].train_loss - loss0) < 1e-15
 
 
@@ -472,6 +471,14 @@ def test_cli_unknown_flag_fails():
     assert bench.cli_main(["train", "--nonsense"]) != 0
 
 
+def test_cli_train_offers_no_lqa_settings(capsys):
+    # LQA's safeguards and the quadratic's size are constants, not flags
+    assert bench.cli_main(["train", "--help"]) == 0
+    usage = capsys.readouterr().out
+    for flag in ("--delta0", "--delta-min", "--delta-max", "--b-min", "--quad-dim"):
+        assert flag not in usage
+
+
 def test_cli_train_reports_missing_data(tmp_path, capsys):
     code = bench.cli_main(
         [
@@ -481,6 +488,26 @@ def test_cli_train_reports_missing_data(tmp_path, capsys):
     )
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_cli_train_reports_out_that_is_a_directory(tmp_path, capsys):
+    code = bench.cli_main(
+        [
+            "train", "--dataset", "synthetic-quadratic", "--optimizer", "lqa",
+            "--epochs", "1", "--out", str(tmp_path), "--quiet",
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_fetch_reports_unreachable_url(tmp_path, capsys):
+    code = bench.cli_main(
+        ["fetch", "--dataset", "mnist", "--data-dir", str(tmp_path / "dest"),
+         "--base-url", (tmp_path / "nowhere").as_uri()]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_train_reads_only_the_train_split(tmp_path):

@@ -218,7 +218,7 @@ def test_estimate_surfaces_nonfinite_probe():
 
 
 def test_solve_verdicts():
-    state = LqaState(delta0=0.01, delta_min=1e-6, delta_max=10.0)
+    state = LqaState()
     d, v = lqa_solve(4.0, 2.0, state)
     assert (d, v) == (1.0, Verdict.ACCEPTED)
     d, v = lqa_solve(1.0, 1e-15, state)
@@ -234,12 +234,14 @@ def test_solve_verdicts():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        LqaState(delta0=0.0)
-    with pytest.raises(ValueError):
-        LqaState(delta0=0.01, delta_min=0.1, delta_max=10.0)
-    with pytest.raises(ValueError):
-        LqaState(b_min=0.0)
+    for bad in (0.0, 5e-7, 10.5, math.nan):
+        with pytest.raises(ValueError):
+            LqaState(delta0=bad)
+    # the box's edges are legal rates
+    assert LqaState(delta0=1e-6).delta0 == 1e-6 and LqaState(delta0=10.0).delta0 == 10.0
+    # the box and the curvature floor are constants, not settings
+    with pytest.raises(TypeError):
+        LqaState(delta_max=1e9)
 
 
 # --- the full step -------------------------------------------------------------
@@ -353,7 +355,7 @@ def test_coefficients_independent_of_delta0_and_match_analytic(dim, seed):
         a, b = lqa_estimate_coefficients(loss0, probe, d0)
         assert abs(a - a_exact) <= 1e-9 * abs(a_exact)
         assert abs(b - b_exact) <= 1e-9 * abs(b_exact)
-        state = LqaState(delta0=d0, delta_min=1e-9, delta_max=1e9)
+        state = LqaState(delta0=d0)
         lqa_step(theta.copy(), grad, loss0, probe, state)
         assert abs(state.delta0 - expected_rate) <= 1e-9 * abs(expected_rate)
 
