@@ -3,13 +3,18 @@
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         [--seed 901] mlp-mnist=10 lenet5-mnist=5 logreg-mnist60k=5
 
-Run from the root of a source checkout. REV is extracted with `git archive`
-into a temporary directory (no worktree entry is left behind); the change is
-the working tree as it stands, uncommitted edits included. Pair k of a
-workload runs `perfbench/run.py --workload W --seed SEED+k --seconds 35
---trace 0` (the run length perfbench and BENCHMARK.json are defined at) once
-on each side, the parent first in even pairs and the change first in odd
-ones. After every pair the output JSON is rewritten with:
+Run from the root of a source checkout. Both sides run from sibling
+directories of one temporary directory, `parent/` and `change/`, so their
+paths have the same shape and length (peak RSS moves with the path context,
+not only with the code). REV is extracted into `parent/` with `git archive`
+(no worktree entry is left behind); `change/` is a copy of the working tree's
+tracked and untracked-but-not-ignored files as they stand, uncommitted edits
+included. Pair k of a workload runs `perfbench/run.py --workload W --seed
+SEED+k --seconds 35 --trace 0` (the run length perfbench and BENCHMARK.json
+are defined at) once on each side, the parent first in even pairs and the
+change first in odd ones. After a workload's pairs, one traced run per side
+(`--trace 1`, seed SEED, parent first) records perfbench's per-layer
+metrics. After every pair, traced or not, the output JSON is rewritten with:
 
 - this invocation's command line, so the file can be made again;
 - each pair's seed, order, and both sides' six end-to-end metrics, `correct`,
@@ -20,6 +25,8 @@ ones. After every pair the output JSON is rewritten with:
   parent, whether that is worse than the metric's bound, and whether the
   gain rule holds: at least nine tenths of the pairs won and the medians
   apart by more than the parent's interquartile range;
+- per workload, the traced pair: both sides' per-layer metrics, `correct`,
+  `attempted` and `failed`, and each metric's relative change;
 - each side's `env:` line as perfbench printed it.
 """
 
@@ -27,6 +34,7 @@ import argparse
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,16 +42,26 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDE_COMMAND = ["perfbench/run.py", "--seconds", "35", "--trace", "0"]
+SIDE_COMMAND = ["perfbench/run.py", "--seconds", "35"]
+SIDES = ("parent", "change")  # names of equal length, so both trees have paths of one length
 
 
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
-def run_side(tree, workload, seed):
-    """One untraced perfbench run in `tree`: (result JSON, env line)."""
-    cmd = [sys.executable, *SIDE_COMMAND, "--workload", workload, "--seed", str(seed)]
+def copy_working_tree(dest):
+    """Copy the working tree's tracked and untracked-but-not-ignored files into dest."""
+    for rel in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src = os.path.join(ROOT, rel)
+        if rel and os.path.isfile(src):  # a tracked file deleted from the working tree stays out
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
+
+
+def run_side(tree, workload, seed, trace=0):
+    """One perfbench run in `tree`: (result JSON, env line)."""
+    cmd = [sys.executable, *SIDE_COMMAND, "--trace", str(trace), "--workload", workload, "--seed", str(seed)]
     got = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     lines = got.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith("env:"))
@@ -55,7 +73,7 @@ def summarize(pairs, spec):
     out = {}
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
-        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
+        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         q = {side: np.percentile(v, [25, 50, 75]).tolist() for side, v in sides.items()}
         sign = 1.0 if lower else -1.0  # a positive gain is an improvement
         wins = sum(sign * (a - b) > 0 for a, b in zip(sides["parent"], sides["change"]))
@@ -74,6 +92,13 @@ def summarize(pairs, spec):
     return out
 
 
+def relative_changes(traced):
+    """(change - parent) / parent for each metric of the traced pair; None where the parent reads 0."""
+    parent, change = (traced[side]["metrics"] for side in SIDES)
+    return {name: (change[name]["value"] - m["value"]) / m["value"] if m["value"] else None
+            for name, m in parent.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -88,32 +113,46 @@ def main(argv=None):
 
     record = {
         "command": shlex.join(["python3", "scripts/bench_pairs.py", *argv]),
-        "side_command": shlex.join([*SIDE_COMMAND, "--workload", "W", "--seed", "SEED"]),
+        "side_command": shlex.join([*SIDE_COMMAND, "--trace", "0|1", "--workload", "W", "--seed", "SEED"]),
         "parent": git("rev-parse", args.parent).strip(),
         "change": "working tree at %s%s" % (
             git("rev-parse", "HEAD").strip(), " with uncommitted edits" if git("status", "--porcelain") else ""),
         "env": {},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
         archive = subprocess.run(["git", "archive", record["parent"]], cwd=ROOT, check=True, capture_output=True)
-        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive.stdout, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        os.mkdir(trees["parent"])
+        subprocess.run(["tar", "-x", "-C", trees["parent"]], input=archive.stdout, check=True)
+        copy_working_tree(trees["change"])
+
+        def save():
+            with open(args.out, "w") as f:
+                json.dump(record, f, indent=1)
+
         for workload, n in plan:
             pairs = []
+            entry = record["workloads"][workload] = {}
             for k in range(n):
                 seed = args.seed + k
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side], record["env"][side] = run_side(trees[side], workload, seed)
                 pairs.append(pair)
-                record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec)}
-                with open(args.out, "w") as f:
-                    json.dump(record, f, indent=1)
-                lqa = {side: pair[side]["metrics"]["lqa_step_ms"]["value"] for side in ("parent", "change")}
+                entry.update(pairs=pairs, summary=summarize(pairs, spec))
+                save()
+                lqa = {side: pair[side]["metrics"]["lqa_step_ms"]["value"] for side in SIDES}
                 print(f"{workload} seed {seed}: lqa_step_ms parent {lqa['parent']:.4g} "
                       f"change {lqa['change']:.4g}", flush=True)
+            traced = {"seed": args.seed}
+            for side in SIDES:
+                traced[side], _ = run_side(trees[side], workload, args.seed, trace=1)
+            traced["change_rel"] = relative_changes(traced)
+            entry["traced"] = traced
+            save()
+            print(f"{workload} seed {args.seed}: traced pair recorded", flush=True)
     return 0
 
 

@@ -105,7 +105,8 @@ def _setup(config, rng, count_probe):
     gradient and probe(s), the loss at params - s*grad. Each probe call is one
     forward pass and calls count_probe(). A model run allocates one scratch
     vector of params' shape, which every probe of every step writes its point
-    into, so probing allocates no parameter-sized vector.
+    into, so probing allocates no parameter-sized vector, and one float64
+    buffer of (N//n)*n input rows, which every epoch's batches are views of.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))
@@ -143,13 +144,17 @@ def _setup(config, rng, count_probe):
         model = nn.build_lenet5(image_shape, 10)
     params = nn.init_params(model, rng, config.init)
     scratch = np.empty_like(params)
+    # one buffer for every epoch: a fresh one per epoch would coexist with the
+    # last epoch's, which Dense._x and the last probe keep alive
+    n = config.batch_size
+    epoch_inputs = np.empty((train.n // n * n, *train.inputs.shape[1:]))
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
         return loss, grad, nn.make_loss_probe(model, batch, params, grad, scratch, on_eval=count_probe)
 
     def epoch():
-        return data_mod.epoch_batches(train, config.batch_size, rng)
+        return data_mod.epoch_batches(train, n, rng, epoch_inputs)
 
     return params, epoch, evaluate
 

@@ -3,7 +3,10 @@
 MNIST ships as big-endian IDX files (magic 2051 for images, 2049 for labels),
 CIFAR-10 as flat binary batches of 3073-byte records (label byte, then 3072
 channel-planar pixel bytes). Both loaders read the train split only, the one
-training runs use, and scale pixels to [0, 1] by /255 and nothing else.
+training runs use, and keep its pixels as read-only uint8. Scaling to [0, 1]
+by /255 (and nothing else) happens per epoch: `epoch_batches` writes the
+permuted, scaled rows into one float64 buffer that the run allocates once, so
+a run holds one float64 copy of the split, not two.
 `fetch_mnist`/`fetch_cifar10` download and checksum-verify every archive,
 test split included, for machines that have network access; pre-downloaded
 files work the same way.
@@ -57,7 +60,10 @@ _CIFAR_RECORD = 3073
 
 @dataclass
 class Dataset:
-    """Inputs with integer class labels; immutable after load."""
+    """Inputs with integer class labels; immutable after load.
+
+    The loaders keep the pixels as uint8 and hand both arrays out read-only.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -161,9 +167,16 @@ def _find_idx(directory, stem):
     raise FileNotFoundError(f"{stem}[.gz] not found under {directory}")
 
 
-def _scaled(images, labels):
-    """A 10-class Dataset of uint8 images scaled to [0, 1] by /255."""
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), 10)
+def _dataset(images, labels):
+    """A 10-class Dataset of the uint8 images as loaded, inputs and labels read-only.
+
+    Nothing is scaled here; epoch_batches divides by 255 per epoch, into the
+    run's float64 buffer.
+    """
+    dataset = Dataset(images, labels.astype(np.int64), 10)
+    dataset.inputs.flags.writeable = False
+    dataset.labels.flags.writeable = False
+    return dataset
 
 
 def load_mnist(directory):
@@ -177,7 +190,7 @@ def load_mnist(directory):
         raise ValueError(
             f"{len(images)} images but {len(labels)} labels under {directory}"
         )
-    return (_scaled(images, labels),)
+    return (_dataset(images, labels),)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +219,7 @@ def load_cifar10(directory):
         recs = raw.reshape(-1, _CIFAR_RECORD)
         labels.append(recs[:, 0])
         images.append(recs[:, 1:].reshape(-1, 3, 32, 32))
-    return (_scaled(np.concatenate(images), np.concatenate(labels)),)
+    return (_dataset(np.concatenate(images), np.concatenate(labels)),)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +227,15 @@ def load_cifar10(directory):
 # ---------------------------------------------------------------------------
 
 
-def epoch_batches(dataset, n, rng):
+def epoch_batches(dataset, n, rng, out):
     """One epoch's batches: a fresh seeded permutation chunked into K = N//n
     full batches; the remainder is dropped so every batch has exactly n samples.
+
+    Batch i's inputs are out[i*n:(i+1)*n], written as its permuted uint8 rows
+    divided by 255.0 (the same bits as astype(float64) / 255.0). `out` is the
+    caller's float64 buffer of K*n rows shaped like the inputs' rows; every
+    epoch of a run reuses it, so a batch's inputs are valid only until the
+    next call.
     """
     if n < 1:
         raise ValueError("batch size must be at least 1")
@@ -227,7 +246,8 @@ def epoch_batches(dataset, n, rng):
     batches = []
     for i in range(k):
         idx = perm[i * n : (i + 1) * n]
-        batches.append(Batch(idx, dataset.inputs[idx], dataset.labels[idx]))
+        inputs = np.divide(dataset.inputs[idx], 255.0, out=out[i * n : (i + 1) * n])
+        batches.append(Batch(idx, inputs, dataset.labels[idx]))
     return batches
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,45 @@ def test_classification_run_mechanics(tmp_path):
     # determinism across a fresh process-independent rerun
     recs2 = run_training(cfg, clock=FIXED_CLOCK)
     assert [(r.train_loss, r.lr_used) for r in recs] == [(r.train_loss, r.lr_used) for r in recs2]
+
+
+def test_every_epoch_scales_into_the_one_buffer_of_the_run(tmp_path, monkeypatch):
+    data_dir = make_tiny_mnist(tmp_path)
+    pixels = data.read_idx_images(data_dir / "mnist" / "train-images-idx3-ubyte")
+    seen = []
+    real_backward = nn.backward
+
+    def spying_backward(model, batch, params):
+        seen.append((batch.inputs.base, np.array_equal(batch.inputs, pixels[batch.indices] / 255.0)))
+        return real_backward(model, batch, params)
+
+    monkeypatch.setattr(bench.nn, "backward", spying_backward)
+    cfg = TrainConfig(
+        model="logreg", dataset="mnist", optimizer="sgd", lr=0.1, epochs=3,
+        batch_size=50, seed=2, data_dir=str(data_dir),
+    )
+    run_training(cfg, clock=FIXED_CLOCK)
+    assert len(seen) == 3 * 3  # 192 // 50 batches per epoch, 42 samples dropped
+    buffer = seen[0][0]
+    assert buffer.shape == (150, 28, 28) and buffer.dtype == np.float64
+    assert all(base is buffer and exact for base, exact in seen)
+
+
+def test_batch_larger_than_the_set_fails_before_a_buffer_is_allocated(tmp_path):
+    data_dir = make_tiny_mnist(tmp_path)
+    cfg = TrainConfig(
+        model="logreg", dataset="mnist", optimizer="sgd", lr=0.1,
+        batch_size=193, data_dir=str(data_dir),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="batch size 193 exceeds dataset size 192"):
+            run_training(cfg, clock=FIXED_CLOCK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 copy of the 192 images would be 1.2 MB
+    assert peak < 192 * 28 * 28 * 8
 
 
 def test_delta0_chains_across_epoch_boundary(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import os
 import struct
 import tarfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,12 +52,25 @@ def test_idx_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def epoch_buffer(dataset, n):
+    """The float64 buffer a run allocates once for epoch_batches(dataset, n, ...)."""
+    return np.empty((dataset.n // n * n, *dataset.inputs.shape[1:]))
+
+
 def test_loaded_dataset_reserializes_to_original_bytes(tmp_path):
-    # /255 scaling loses nothing: scaled inputs map back to the exact file bytes
+    # the loader keeps the file's uint8 pixels, and /255 scaling loses nothing:
+    # scaled batch inputs map back to the exact file bytes
     d, _ = make_mnist_dir(tmp_path)
     (train,) = load_mnist(d)
-    recovered = np.round(train.inputs * 255.0).astype(np.uint8)
+    assert train.inputs.dtype == np.uint8
     out = tmp_path / "rebuilt"
+    write_idx_images(out, train.inputs)
+    assert out.read_bytes() == (d / "train-images-idx3-ubyte").read_bytes()
+
+    (batch,) = epoch_batches(train, 96, Rng(0), epoch_buffer(train, 96))
+    assert np.array_equal(batch.inputs, train.inputs[batch.indices] / 255.0)
+    recovered = np.empty_like(train.inputs)
+    recovered[batch.indices] = np.round(batch.inputs * 255.0).astype(np.uint8)
     write_idx_images(out, recovered)
     assert out.read_bytes() == (d / "train-images-idx3-ubyte").read_bytes()
 
@@ -112,9 +126,16 @@ def test_load_mnist_shapes_scaling_and_gz(tmp_path):
     (train,) = load_mnist(d)
     assert train.n == 96
     assert train.inputs.shape == (96, 28, 28)
-    assert train.inputs.min() >= 0.0 and train.inputs.max() <= 1.0
+    assert train.inputs.dtype == np.uint8
+    assert np.array_equal(train.inputs, splits["train"][0])
     assert np.array_equal(train.labels, splits["train"][1].astype(np.int64))
-    assert np.allclose(train.inputs, splits["train"][0] / 255.0)
+    # the batches carry the bits the loader's old astype(float64) / 255.0 gave
+    batches = epoch_batches(train, 32, Rng(3), epoch_buffer(train, 32))
+    for b in batches:
+        assert b.inputs.dtype == np.float64
+        assert b.inputs.min() >= 0.0 and b.inputs.max() <= 1.0
+        assert np.array_equal(b.inputs, splits["train"][0][b.indices] / 255.0)
+        assert np.array_equal(b.inputs, splits["train"][0][b.indices].astype(np.float64) / 255.0)
 
     # gzip variants load identically
     gz = tmp_path / "gz" / "mnist"
@@ -163,12 +184,15 @@ def test_load_cifar10_record_layout(tmp_path):
     (train,) = load_cifar10(base)
     assert train.n == 35
     assert train.inputs.shape == (35, 3, 32, 32)
+    assert train.inputs.dtype == np.uint8
     assert train.classes == 10
     labels, pixels = store["data_batch_1.bin"]
     assert train.labels[0] == labels[0]
     # channel-planar: first 1024 payload bytes are the red plane
-    red = pixels[0, :1024].reshape(32, 32) / 255.0
-    assert np.allclose(train.inputs[0, 0], red)
+    assert np.array_equal(train.inputs[0, 0], pixels[0, :1024].reshape(32, 32))
+    all_pixels = np.concatenate([store[f"data_batch_{i}.bin"][1] for i in range(1, 6)])
+    (batch,) = epoch_batches(train, 35, Rng(4), epoch_buffer(train, 35))
+    assert np.array_equal(batch.inputs, all_pixels[batch.indices].reshape(-1, 3, 32, 32) / 255.0)
 
 
 def test_load_cifar10_needs_no_test_batch(tmp_path):
@@ -189,14 +213,24 @@ def test_load_cifar10_truncated_rejected(tmp_path):
 # --- batching ------------------------------------------------------------------
 
 
+def test_loaders_hand_out_read_only_arrays(tmp_path):
+    d, _ = make_mnist_dir(tmp_path / "m")
+    base, _ = make_cifar_dir(tmp_path / "c")
+    for (train,) in (load_mnist(d), load_cifar10(base)):
+        for array in (train.inputs, train.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
 def toy_dataset(n, seed=0):
+    """n four-pixel uint8 images, as the loaders store them."""
     rng = np.random.default_rng(seed)
-    return Dataset(rng.random((n, 4)), rng.integers(0, 3, size=n), 3)
+    return Dataset(rng.integers(0, 256, size=(n, 4), dtype=np.uint8), rng.integers(0, 3, size=n), 3)
 
 
 def test_epoch_batches_exact_cover():
     ds = toy_dataset(128)
-    batches = epoch_batches(ds, 64, Rng(1))
+    batches = epoch_batches(ds, 64, Rng(1), epoch_buffer(ds, 64))
     assert len(batches) == 2
     ids = np.concatenate([b.indices for b in batches])
     assert np.array_equal(np.sort(ids), np.arange(128))
@@ -205,37 +239,78 @@ def test_epoch_batches_exact_cover():
 
 def test_epoch_batches_drops_remainder():
     ds = toy_dataset(130)
-    batches = epoch_batches(ds, 64, Rng(2))
+    out = np.full((128, 4), np.nan)  # K*n rows: no room for the 2 left over
+    batches = epoch_batches(ds, 64, Rng(2), out)
     assert len(batches) == 2
     ids = np.concatenate([b.indices for b in batches])
     assert len(ids) == 128 and len(set(ids.tolist())) == 128
+    # every row of the buffer holds a kept sample, in batch order
+    assert np.array_equal(out, ds.inputs[ids] / 255.0)
 
 
 def test_epoch_batches_deterministic_and_reshuffled():
     ds = toy_dataset(96)
-    a = epoch_batches(ds, 32, Rng(7))
-    b = epoch_batches(ds, 32, Rng(7))
+    a = epoch_batches(ds, 32, Rng(7), epoch_buffer(ds, 32))
+    b = epoch_batches(ds, 32, Rng(7), epoch_buffer(ds, 32))
     for x, y in zip(a, b):
         assert np.array_equal(x.indices, y.indices)
     rng = Rng(7)
-    first = epoch_batches(ds, 32, rng)
-    second = epoch_batches(ds, 32, rng)  # same rng advanced: fresh permutation
+    first = epoch_batches(ds, 32, rng, epoch_buffer(ds, 32))
+    second = epoch_batches(ds, 32, rng, epoch_buffer(ds, 32))  # same rng advanced: fresh permutation
     assert not all(np.array_equal(x.indices, y.indices) for x, y in zip(first, second))
 
 
 def test_epoch_batches_resolves_inputs():
     ds = toy_dataset(20)
-    (batch,) = epoch_batches(ds, 20, Rng(0))
-    assert np.array_equal(batch.inputs, ds.inputs[batch.indices])
+    assert ds.inputs.dtype == np.uint8
+    (batch,) = epoch_batches(ds, 20, Rng(0), epoch_buffer(ds, 20))
+    assert batch.inputs.dtype == np.float64
+    assert np.array_equal(batch.inputs, ds.inputs[batch.indices] / 255.0)
     assert np.array_equal(batch.labels, ds.labels[batch.indices])
+
+
+def test_consecutive_epochs_share_one_buffer():
+    ds = toy_dataset(96)
+    out = epoch_buffer(ds, 32)
+    rng = Rng(5)
+    first = epoch_batches(ds, 32, rng, out)
+    first_inputs = [b.inputs.copy() for b in first]
+    second = epoch_batches(ds, 32, rng, out)
+    for i, (a, b) in enumerate(zip(first, second)):
+        # batch i of every epoch is the same contiguous rows of the one buffer
+        for batch in (a, b):
+            assert batch.inputs.base is out and batch.inputs.flags.c_contiguous
+            assert np.shares_memory(batch.inputs, out[i * 32 : (i + 1) * 32])
+        assert np.array_equal(b.inputs, ds.inputs[b.indices] / 255.0)
+        # the second epoch overwrote the first epoch's inputs in place
+        assert a.inputs is not b.inputs and np.array_equal(a.inputs, b.inputs)
+    assert not all(np.array_equal(x, b.inputs) for x, b in zip(first_inputs, second))
+
+
+def test_two_epochs_allocate_far_less_than_a_float64_copy():
+    rng = np.random.default_rng(6)
+    ds = Dataset(rng.integers(0, 256, size=(6400, 28, 28), dtype=np.uint8),
+                 rng.integers(0, 10, size=6400), 10)
+    out = epoch_buffer(ds, 64)
+    order = Rng(1)
+    tracemalloc.start()
+    try:
+        epochs = [epoch_batches(ds, 64, order, out) for _ in range(2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(epochs[1]) == 100
+    # one float64 copy of the set is 40 MB; even its uint8 pixels are 5 MB
+    assert peak < ds.inputs.nbytes < out.nbytes
 
 
 def test_epoch_batches_validates_sizes():
     ds = toy_dataset(10)
+    # a batch larger than the set leaves no whole batch, so a run's buffer has no rows
+    with pytest.raises(ValueError, match="batch size 11 exceeds dataset size 10"):
+        epoch_batches(ds, 11, Rng(0), epoch_buffer(ds, 11))
     with pytest.raises(ValueError):
-        epoch_batches(ds, 11, Rng(0))
-    with pytest.raises(ValueError):
-        epoch_batches(ds, 0, Rng(0))
+        epoch_batches(ds, 0, Rng(0), np.empty((0, 4)))
 
 
 def test_dataset_validates_labels():
