@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.optimizer != "lqa" and (self.lr is None or not self.lr > 0.0):
             raise ValueError(f"optimizer {self.optimizer!r} requires a positive --lr")
+        if self.lr is not None and not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
 
 
 @dataclass
@@ -97,16 +99,17 @@ class MetricRecord:
 CSV_HEADER = ",".join(f.name for f in fields(MetricRecord))
 
 
-def _setup(config, rng, count_probe):
+def _setup(config, rng):
     """(params, epoch, evaluate) for one run of `config`.
 
     params is the initial vector, owned by the caller; epoch() returns one
     epoch's batches; evaluate(batch, params) returns the batch loss, its
     gradient and probe(s), the loss at params - s*grad. Each probe call is one
-    forward pass and calls count_probe(). A model run allocates one scratch
-    vector of params' shape, which every probe of every step writes its point
-    into, so probing allocates no parameter-sized vector, and one float64
-    buffer of (N//n)*n input rows, which every epoch's batches are views of.
+    forward pass; the run loop counts the calls. A model run allocates one
+    scratch vector of params' shape, which every probe of every step writes
+    its point into, so probing allocates no parameter-sized vector, and one
+    float64 buffer of (N//n)*n input rows, which every epoch's batches are
+    views of.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))
@@ -117,13 +120,7 @@ def _setup(config, rng, count_probe):
 
         def evaluate(batch, params):
             loss, grad = oracle.quad_loss_grad(objective, params)
-            ray = oracle.ray_probe(objective, params, grad)
-
-            def probe(s):
-                count_probe()
-                return ray(s)
-
-            return loss, grad, probe
+            return loss, grad, oracle.ray_probe(objective, params, grad)
 
         # full-batch objective: one step per epoch
         return params, lambda: [None], evaluate
@@ -151,7 +148,7 @@ def _setup(config, rng, count_probe):
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
-        return loss, grad, nn.make_loss_probe(model, batch, params, grad, scratch, on_eval=count_probe)
+        return loss, grad, nn.make_loss_probe(model, batch, params, grad, scratch)
 
     def epoch():
         return data_mod.epoch_batches(train, n, rng, epoch_inputs)
@@ -170,20 +167,21 @@ def run_training(config, clock=time.perf_counter, log=None):
     recorded.
     """
     config.validate()
-    probes = 0
-
-    def count_probe():
-        nonlocal probes
-        probes += 1
-
-    params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)), count_probe)
+    params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)))
     if config.out:
         emit_csv([], config.out)
+    probes = 0
     if config.optimizer == "lqa":
         state = optim.LqaState()
 
         def update(params, grad, loss, probe):
-            optim.lqa_step(params, grad, loss, probe, state)
+            # each probe lqa_step makes is one more forward pass
+            def counted(s):
+                nonlocal probes
+                probes += 1
+                return probe(s)
+
+            optim.lqa_step(params, grad, loss, counted, state)
             return state.delta0, state.last_verdict.value
 
     else:
@@ -502,9 +500,10 @@ def check_coefficient_identity():
     gg = float(grad @ grad)
 
     def rel_err(d0):
+        state = optim.LqaState(delta0=d0)
         probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
-        a, _ = optim.lqa_estimate_coefficients(loss0, probe, d0)
-        return abs(a - gg) / gg
+        optim.lqa_step(params.copy(), grad, loss0, probe, state)
+        return abs(state.a - gg) / gg
 
     e1 = rel_err(0.01)
     e2 = rel_err(0.01 / 2.0)

@@ -122,7 +122,11 @@ def read_idx_images(path):
         cols = _read_be32(f, "cols")
         if count < 0 or rows < 1 or cols < 1:
             raise ValueError(f"implausible IDX extents {count}x{rows}x{cols} in {path}")
-        payload = f.read(count * rows * cols + 1)
+        # an absurd header asks for more bytes than an index can hold or memory can
+        try:
+            payload = f.read(count * rows * cols + 1)
+        except (OverflowError, MemoryError):
+            raise ValueError(f"IDX extents {count}x{rows}x{cols} too large in {path}") from None
         if len(payload) != count * rows * cols:
             raise ValueError(f"payload size mismatch in {path}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)

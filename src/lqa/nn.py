@@ -8,7 +8,8 @@ flat float64 vector it is given, so evaluating the loss at a new vector
 nothing. A gradient pass binds a fresh gradient vector of the same layout,
 which the weighted layers fill in place, and returns it. The loss probe
 writes each probe point into a scratch vector the caller owns, so probing
-allocates no parameter-sized vector.
+allocates no parameter-sized vector. It counts nothing: the training loop
+counts the probes the optimizer makes.
 
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
@@ -392,20 +393,16 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     return Model(layers, input_shape)
 
 
-def make_loss_probe(model, batch, params, grad, scratch, on_eval=None):
+def make_loss_probe(model, batch, params, grad, scratch):
     """Probe(s) = mean batch loss at params - s*grad, without touching `params`.
 
-    Each call writes the probe point params - s*grad into `scratch`, a vector
-    of params' shape that the caller owns and that aliases neither `params`
-    nor `grad`; it holds that point when the call returns. The point has the
-    same bits as the out-of-place expression. Every call is one forward pass
-    and calls `on_eval` (if given) once, which is how the runner counts that
-    cost.
+    Each call is one forward pass. It writes the probe point params - s*grad
+    into `scratch`, a vector of params' shape that the caller owns and that
+    aliases neither `params` nor `grad`; it holds that point when the call
+    returns. The point has the same bits as the out-of-place expression.
     """
 
     def probe(s):
-        if on_eval is not None:
-            on_eval()
         np.multiply(grad, float(s), out=scratch)
         np.subtract(params, scratch, out=scratch)
         return forward_loss(model, batch, scratch)

@@ -11,12 +11,12 @@ by `make_baseline(...).step`.
 
 The seventh, `lqa_step`, picks its learning rate per batch step: it models
 the batch loss along the gradient direction as a quadratic in the step size,
-estimates the two coefficients from the loss at params -+ delta0*grad (two
-extra forward passes, no second derivatives), and steps with the minimizer
+fits the two coefficients from the loss at params -+ delta0*grad (two extra
+forward passes, no second derivatives), and steps with the minimizer
 a/(2b), clamped to a fixed box. Degenerate fits fall back to the previous
 rate instead of failing. Nothing about the rate is set per run: `LqaState`
-carries it and the verdict from one step to the next, and holds the box and
-the curvature floor as constants.
+carries it, the verdict and the last fit from one step to the next, and
+holds the box and the curvature floor as constants.
 
 Sign convention, fixed once: probe(s) evaluates the loss at params - s*grad,
 so the probe at -delta0 is the "uphill" point params + delta0*grad. With that
@@ -27,7 +27,7 @@ as delta0 -> 0.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,6 @@ __all__ = [
     "LqaState",
     "Baseline",
     "BASELINES",
-    "lqa_estimate_coefficients",
-    "lqa_solve",
     "lqa_step",
     "make_baseline",
 ]
@@ -72,8 +70,8 @@ class Baseline:
     def __init__(self, name, lr, dim):
         if name not in BASELINES:
             raise ValueError(f"unknown optimizer {name!r}")
-        if not lr >= 0.0:
-            raise ValueError("lr must be non-negative")
+        if not 0.0 <= lr < math.inf:
+            raise ValueError("lr must be finite and non-negative")
         self.name = name
         self.lr = lr
         # velocity (momentum), sum or mean of squares (AdaGrad, RMSProp), first moment (Adam)
@@ -141,7 +139,7 @@ def make_baseline(name, lr, dim):
 
 
 class Verdict(enum.Enum):
-    """What the rate solver did with one batch step's coefficient estimates."""
+    """What the rate solver did with one batch step's fit."""
 
     ACCEPTED = "accepted"
     CLAMPED = "clamped"
@@ -152,13 +150,15 @@ class Verdict(enum.Enum):
 
 @dataclass
 class LqaState:
-    """The rate carried from one batch step to the next, and its verdict.
+    """The rate carried from one batch step to the next, its verdict and its fit.
 
     delta0 is the probe radius, seeded at 0.01 and thereafter chained from
-    the previous step's solved rate. The safeguards are constants of the
-    method, not settings: the clamp box [delta_min, delta_max] = [1e-6, 10]
-    and the curvature floor b_min = 1e-12 guard the solved rate against
-    degenerate local shapes the quadratic model cannot represent.
+    the previous step's solved rate. a and b are the last completed step's
+    coefficient estimates (None before the first); they are outputs, not
+    settings. The safeguards are constants of the method: the clamp box
+    [delta_min, delta_max] = [1e-6, 10] and the curvature floor b_min = 1e-12
+    guard the solved rate against degenerate local shapes the quadratic model
+    cannot represent.
     """
 
     delta_min = 1e-6
@@ -167,6 +167,8 @@ class LqaState:
 
     delta0: float = 0.01
     last_verdict: Verdict | None = None
+    a: float | None = field(default=None, init=False)
+    b: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not self.delta_min <= self.delta0 <= self.delta_max:
@@ -175,61 +177,44 @@ class LqaState:
             )
 
 
-def lqa_solve(a, b, state):
-    """Resolve the coefficient estimates a, b into a usable rate and a verdict.
-
-    A healthy fit (positive slope, curvature above the floor) yields
-    a/(2b) clamped to [delta_min, delta_max]. Anything degenerate keeps the
-    previous rate: a flat probe (a == b == 0) means a zero direction, a
-    non-positive slope or sub-floor curvature means the local shape has no
-    meaningful quadratic minimum.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NonFiniteError("coefficient estimates are not finite")
-    if a == 0.0 and b == 0.0:
-        return state.delta0, Verdict.SKIPPED_ZERO_GRAD
-    if a <= 0.0:
-        return state.delta0, Verdict.FALLBACK_NONPOSITIVE_A
-    if b < state.b_min:
-        return state.delta0, Verdict.FALLBACK_SMALL_B
-    raw = a / (2.0 * b)
-    clamped = min(max(raw, state.delta_min), state.delta_max)
-    return clamped, Verdict.ACCEPTED if clamped == raw else Verdict.CLAMPED
-
-
-def lqa_estimate_coefficients(loss0, probe, delta0):
-    """Central-difference estimates (a, b) of the loss change -a*s + b*s^2 along the ray.
-
-    With probe(s) = loss at params - s*grad:
-        a = [probe(-delta0) - probe(+delta0)] / (2*delta0)
-        b = [probe(-delta0) + probe(+delta0) - 2*loss0] / (2*delta0^2)
-    Any positive delta0 is legal; lqa_solve turns the estimates into a rate.
-    """
-    if not delta0 > 0.0:
-        raise ValueError("delta0 must be positive")
-    loss_up = probe(-delta0)  # params + delta0*grad
-    loss_down = probe(delta0)  # params - delta0*grad
-    if not (math.isfinite(loss_up) and math.isfinite(loss_down) and math.isfinite(loss0)):
-        raise NonFiniteError("probe returned a non-finite loss")
-    a = (loss_up - loss_down) / (2.0 * delta0)
-    b = (loss_up + loss_down - 2.0 * loss0) / (2.0 * delta0 * delta0)
-    return a, b
-
-
 def lqa_step(params, grad, loss0, probe, state):
     """One in-place update with a per-step estimated rate; returns `params`.
 
-    loss0 is the loss at params. Probes the loss at params -+ delta0*grad,
-    solves for the rate, steps params -= rate*grad, and stores the rate (the
-    next step's probe radius) and the verdict on `state`.
+    loss0 is the loss at params and probe(s) the loss at params - s*grad. With
+    d = state.delta0, central differences fit the loss change -a*s + b*s^2
+    along the ray:
+        a = [probe(-d) - probe(+d)] / (2*d)
+        b = [probe(-d) + probe(+d) - 2*loss0] / (2*d^2)
+    A healthy fit (positive slope, curvature above the floor) yields the rate
+    a/(2b) clamped to [delta_min, delta_max]. Anything degenerate keeps the
+    previous rate: a flat probe (a == b == 0) means a zero direction, a
+    non-positive slope or sub-floor curvature means the local shape has no
+    meaningful quadratic minimum. Steps params -= rate*grad and stores the
+    rate (the next step's probe radius), the verdict and the fit on `state`.
     """
     _check_grad(grad)
-    a, b = lqa_estimate_coefficients(loss0, probe, state.delta0)
-    # lqa_solve returns a rate inside [delta_min, delta_max] or state.delta0,
-    # which LqaState keeps in that box, so it chains without another clamp
-    rate, verdict = lqa_solve(a, b, state)
+    d = state.delta0
+    loss_up = probe(-d)  # params + d*grad
+    loss_down = probe(d)  # params - d*grad
+    a = (loss_up - loss_down) / (2.0 * d)
+    b = (loss_up + loss_down - 2.0 * loss0) / (2.0 * d * d)
+    # b is non-finite whenever loss0 or a probe loss is; this also catches overflow
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteError("probe losses give a non-finite fit")
+    # every rate lies in [delta_min, delta_max]: clamped, or d, which LqaState
+    # keeps in that box, so it chains without another clamp
+    if a == 0.0 and b == 0.0:
+        rate, verdict = d, Verdict.SKIPPED_ZERO_GRAD
+    elif a <= 0.0:
+        rate, verdict = d, Verdict.FALLBACK_NONPOSITIVE_A
+    elif b < state.b_min:
+        rate, verdict = d, Verdict.FALLBACK_SMALL_B
+    else:
+        raw = a / (2.0 * b)
+        rate = min(max(raw, state.delta_min), state.delta_max)
+        verdict = Verdict.ACCEPTED if rate == raw else Verdict.CLAMPED
     params -= rate * grad
     if not np.all(np.isfinite(params)):
         raise NonFiniteError("update produced non-finite parameters")
-    state.delta0, state.last_verdict = rate, verdict
+    state.delta0, state.last_verdict, state.a, state.b = rate, verdict, a, b
     return params

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,7 @@ def test_unknown_names_rejected():
         dict(epochs=0),
         dict(batch_size=0),
         dict(init="he"),
+        dict(lr=math.inf),
     ):
         cfg = TrainConfig(**{**dict(optimizer="lqa", epochs=1), **bad})
         with pytest.raises(ValueError):
@@ -119,6 +121,18 @@ def test_cost_accounting_lqa_vs_baselines():
     ]
     sgd_recs = run_training(quad_config(optimizer="sgd", lr=0.01, epochs=5), clock=FIXED_CLOCK)
     assert all(r.forward_count == r.backward_count for r in sgd_recs)
+
+
+def test_forward_count_counts_the_probes_lqa_step_makes(monkeypatch):
+    real_step = optim.lqa_step
+
+    def probing_thrice(params, grad, loss0, probe, state):
+        probe(0.5 * state.delta0)
+        return real_step(params, grad, loss0, probe, state)
+
+    monkeypatch.setattr(bench.optim, "lqa_step", probing_thrice)
+    recs = run_training(quad_config(epochs=5), clock=FIXED_CLOCK)
+    assert all(r.forward_count == 4 * r.backward_count for r in recs)
 
 
 @pytest.mark.parametrize("name", ["sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam"])
@@ -507,6 +521,17 @@ def test_cli_train_requires_lr_for_sgd(tmp_path):
     assert code == 1
 
 
+def test_cli_train_rejects_infinite_lr(tmp_path, capsys):
+    code = bench.cli_main(
+        [
+            "train", "--dataset", "synthetic-quadratic", "--optimizer", "sgd", "--lr", "inf",
+            "--epochs", "1", "--out", str(tmp_path / "x.csv"), "--quiet",
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_unknown_flag_fails():
     assert bench.cli_main(["train", "--nonsense"]) != 0
 
@@ -528,6 +553,21 @@ def test_cli_train_reports_missing_data(tmp_path, capsys):
     )
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extents", [(2**31 - 1,) * 3, (2**31 - 1, 28, 28)], ids=["huge", "many"])
+def test_cli_train_reports_absurd_idx_extents(tmp_path, capsys, extents):
+    data_dir = make_tiny_mnist(tmp_path)
+    images = data_dir / "mnist" / "train-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">iiii", 2051, *extents) + bytes(784))
+    code = bench.cli_main(
+        [
+            "train", "--dataset", "mnist", "--optimizer", "lqa", "--epochs", "1",
+            "--data-dir", str(data_dir), "--out", str(tmp_path / "x.csv"), "--quiet",
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_train_reports_out_that_is_a_directory(tmp_path, capsys):

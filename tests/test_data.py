@@ -121,6 +121,17 @@ def test_idx_trailing_garbage_rejected(tmp_path):
         read_idx_labels(p)
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+@pytest.mark.parametrize("extents", [(2**31 - 1,) * 3, (2**31 - 1, 28, 28)], ids=["huge", "many"])
+def test_idx_absurd_extents_rejected(tmp_path, extents, gz):
+    # the first read overflows an index, the second asks for about 1.7 TB
+    p = tmp_path / ("images.gz" if gz else "images")
+    with (gzip.open if gz else open)(p, "wb") as f:
+        f.write(struct.pack(">iiii", 2051, *extents) + b"\x00" * 784)
+    with pytest.raises(ValueError):
+        read_idx_images(p)
+
+
 def test_load_mnist_shapes_scaling_and_gz(tmp_path):
     d, splits = make_mnist_dir(tmp_path)
     (train,) = load_mnist(d)

@@ -10,8 +10,6 @@ from lqa.optim import (
     BASELINES,
     LqaState,
     Verdict,
-    lqa_estimate_coefficients,
-    lqa_solve,
     lqa_step,
     make_baseline,
 )
@@ -148,7 +146,9 @@ def test_make_baseline_rejects_unknown():
         make_baseline("newton", 0.1, 4)
 
 
-@pytest.mark.parametrize("name,lr", [("sgd", -0.1), ("adam", math.nan)], ids=["lr<0", "lr=nan"])
+@pytest.mark.parametrize(
+    "name,lr", [("sgd", -0.1), ("adam", math.nan), ("sgd", math.inf)], ids=["lr<0", "lr=nan", "lr=inf"]
+)
 def test_make_baseline_rejects_bad_hyperparameters(name, lr):
     with pytest.raises(ValueError):
         make_baseline(name, lr, 4)
@@ -163,7 +163,7 @@ def test_baselines_preserve_shape():
         assert out.shape == p.shape
 
 
-# --- coefficient estimation ---------------------------------------------------
+# --- the fit and the rate -------------------------------------------------------
 
 
 def quadratic_probe_1d(theta, g):
@@ -178,59 +178,51 @@ def quadratic_probe_1d(theta, g):
 
 def test_estimate_on_one_dimensional_quadratic_by_hand():
     # loss = theta^2/2 at theta=2: probes at 1.8 and 2.2 give 1.62 and 2.42
-    probe = quadratic_probe_1d(2.0, 2.0)
-    a, b = lqa_estimate_coefficients(2.0, probe, 0.1)
-    assert abs(a - 4.0) < 1e-12
-    assert abs(b - 2.0) < 1e-9
-    rate, _ = lqa_solve(a, b, LqaState(delta0=0.1))
-    assert abs(rate - 1.0) < 1e-9
+    theta, state = np.array([2.0]), LqaState(delta0=0.1)
+    lqa_step(theta, np.array([2.0]), 2.0, quadratic_probe_1d(2.0, 2.0), state)
+    assert abs(state.a - 4.0) < 1e-12
+    assert abs(state.b - 2.0) < 1e-9
+    assert abs(state.delta0 - 1.0) < 1e-9
     # stepping lands exactly on the minimum
-    assert abs(2.0 - rate * 2.0) < 1e-9
+    assert abs(theta[0]) < 1e-9
 
 
 def test_estimate_zero_direction_sees_flat_probe():
-    probe = quadratic_probe_1d(2.0, 0.0)
-    a, b = lqa_estimate_coefficients(2.0, probe, 0.1)
-    assert a == 0.0
-    assert b == 0.0
-    rate, verdict = lqa_solve(a, b, LqaState(delta0=0.1))
-    assert rate == 0.1  # keeps the probe rate
-    assert verdict is Verdict.SKIPPED_ZERO_GRAD
-
-
-def test_estimate_rejects_nonpositive_delta0():
-    with pytest.raises(ValueError):
-        lqa_estimate_coefficients(1.0, lambda s: 1.0, 0.0)
-
-
-def test_estimate_accepts_delta0_outside_default_clamp_box():
-    # any positive probe radius is legal for estimation alone
-    probe = quadratic_probe_1d(2.0, 2.0)
-    a, _ = lqa_estimate_coefficients(probe(0.0), probe, 20.0)
-    assert abs(a - 4.0) < 1e-10
-    a, _ = lqa_estimate_coefficients(probe(0.0), probe, 1e-8)
-    assert abs(a - 4.0) < 1e-5
+    state = LqaState(delta0=0.1)
+    lqa_step(np.array([2.0]), np.zeros(1), 2.0, quadratic_probe_1d(2.0, 0.0), state)
+    assert state.a == 0.0
+    assert state.b == 0.0
+    assert state.delta0 == 0.1  # keeps the probe rate
+    assert state.last_verdict is Verdict.SKIPPED_ZERO_GRAD
 
 
 def test_estimate_surfaces_nonfinite_probe():
     with pytest.raises(NonFiniteError):
-        lqa_estimate_coefficients(1.0, lambda s: math.inf, 0.1)
+        lqa_step(np.zeros(1), np.ones(1), 1.0, lambda s: math.inf, LqaState(delta0=0.1))
+
+
+def line_probe(a, b):
+    """A probe whose loss along the ray is 1 - a*s + b*s^2, so loss0 = 1."""
+    return lambda s: 1.0 - a * s + b * s * s
 
 
 def test_solve_verdicts():
-    state = LqaState()
-    d, v = lqa_solve(4.0, 2.0, state)
-    assert (d, v) == (1.0, Verdict.ACCEPTED)
-    d, v = lqa_solve(1.0, 1e-15, state)
-    assert (d, v) == (0.01, Verdict.FALLBACK_SMALL_B)
-    d, v = lqa_solve(-0.3, 2.0, state)
-    assert (d, v) == (0.01, Verdict.FALLBACK_NONPOSITIVE_A)
-    d, v = lqa_solve(50.0, 1e-3, state)
-    assert (d, v) == (10.0, Verdict.CLAMPED)  # 25000 clipped to delta_max
-    d, v = lqa_solve(1e-9, 1000.0, state)
-    assert (d, v) == (1e-6, Verdict.CLAMPED)  # 5e-13 clipped to delta_min
+    # at d = 0.5 the (4, 2) fit is exact: probes 3.5 and -0.5 around loss0 = 1
+    rows = (
+        (4.0, 2.0, 1.0, Verdict.ACCEPTED),
+        (1.0, 1e-15, 0.5, Verdict.FALLBACK_SMALL_B),
+        (-0.3, 2.0, 0.5, Verdict.FALLBACK_NONPOSITIVE_A),
+        (50.0, 1e-3, 10.0, Verdict.CLAMPED),  # 25000 clipped to delta_max
+        (1e-9, 1000.0, 1e-6, Verdict.CLAMPED),  # 5e-13 clipped to delta_min
+    )
+    for a, b, rate, verdict in rows:
+        state = LqaState(delta0=0.5)
+        lqa_step(np.zeros(1), np.ones(1), 1.0, line_probe(a, b), state)
+        assert (state.delta0, state.last_verdict) == (rate, verdict), (a, b)
+        if verdict is Verdict.ACCEPTED:
+            assert (state.a, state.b) == (a, b)
     with pytest.raises(NonFiniteError):
-        lqa_solve(math.nan, 1.0, state)
+        lqa_step(np.zeros(1), np.ones(1), 1.0, line_probe(math.nan, 1.0), LqaState(delta0=0.5))
 
 
 def test_state_validation():
@@ -242,6 +234,13 @@ def test_state_validation():
     # the box and the curvature floor are constants, not settings
     with pytest.raises(TypeError):
         LqaState(delta_max=1e9)
+
+
+def test_fit_is_an_output_not_a_setting():
+    with pytest.raises(TypeError):
+        LqaState(a=1.0)
+    state = LqaState()
+    assert (state.a, state.b) == (None, None)
 
 
 # --- the full step -------------------------------------------------------------
@@ -257,10 +256,9 @@ def test_step_on_diagonal_quadratic_matches_derived_values():
         return 0.5 * float(t @ (A @ t))
 
     state = LqaState(delta0=0.1)
-    a, b = lqa_estimate_coefficients(probe(0.0), probe, 0.1)
-    assert abs(a - 17.0) < 1e-9
-    assert abs(b - 32.5) < 1e-7
     assert lqa_step(theta, g, probe(0.0), probe, state) is theta
+    assert abs(state.a - 17.0) < 1e-9
+    assert abs(state.b - 32.5) < 1e-7
     assert state.last_verdict is Verdict.ACCEPTED
     assert abs(state.delta0 - 17.0 / 65.0) < 1e-9
     assert np.allclose(theta, [48.0 / 65.0, -3.0 / 65.0], atol=1e-8)
@@ -311,6 +309,7 @@ def test_step_rejects_nonfinite():
         (np.array([np.inf, 0.0]), 1.0, lambda s: 1.0),  # gradient
         (np.ones(2), 1.0, lambda s: math.nan),  # probe loss
         (np.ones(2), math.nan, lambda s: 1.0),  # loss at params
+        (np.ones(2), 1.0, lambda s: 1e308 if s < 0 else -1e308),  # a overflows
     )
     for grad, loss0, probe in cases:
         params, state = np.zeros(2), LqaState()
@@ -321,22 +320,41 @@ def test_step_rejects_nonfinite():
         assert state == LqaState()
 
 
+def out_of_place_lqa_step(p, g, loss0, probe, d):
+    """The LQA step written from its formulas: (new params, rate, verdict, a, b).
+
+    This is the reference the in-place lqa_step must match bit for bit, so
+    every expression keeps the evaluation order written here.
+    """
+    up, down = probe(-d), probe(d)
+    a = (up - down) / (2.0 * d)
+    b = (up + down - 2.0 * loss0) / (2.0 * d * d)
+    if a == 0.0 and b == 0.0:
+        rate, verdict = d, Verdict.SKIPPED_ZERO_GRAD
+    elif a <= 0.0:
+        rate, verdict = d, Verdict.FALLBACK_NONPOSITIVE_A
+    elif b < 1e-12:
+        rate, verdict = d, Verdict.FALLBACK_SMALL_B
+    else:
+        raw = a / (2.0 * b)
+        rate = min(max(raw, 1e-6), 10.0)
+        verdict = Verdict.ACCEPTED if rate == raw else Verdict.CLAMPED
+    return p - rate * g, rate, verdict, a, b
+
+
 def test_in_place_step_matches_out_of_place_reference_bitwise():
     q = synthetic_quadratic(8, 4)
     theta = rng_uniform(Rng(7), (8,), -1.0, 1.0)
-    ref, ref_state = theta.copy(), LqaState()
+    ref, d = theta.copy(), 0.01
     state = LqaState()
     for _ in range(20):
         loss, grad = quad_loss_grad(q, ref)
-        probe = ray_probe(q, ref, grad)
-        rate, verdict = lqa_solve(*lqa_estimate_coefficients(loss, probe, ref_state.delta0), ref_state)
-        ref = ref - rate * grad
-        ref_state = replace(ref_state, delta0=rate, last_verdict=verdict)
+        ref, d, verdict, a, b = out_of_place_lqa_step(ref, grad, loss, ray_probe(q, ref, grad), d)
 
         loss, grad = quad_loss_grad(q, theta)
         assert lqa_step(theta, grad, loss, ray_probe(q, theta, grad), state) is theta
         assert theta.tobytes() == ref.tobytes()
-        assert state == ref_state
+        assert (state.delta0, state.last_verdict, state.a, state.b) == (d, verdict, a, b)
 
 
 # --- quadratic exactness against the explicit-Hessian oracle -------------------
@@ -352,11 +370,10 @@ def test_coefficients_independent_of_delta0_and_match_analytic(dim, seed):
     expected_rate = quad_optimal_step(q, theta, grad)
     probe = ray_probe(q, theta, grad)
     for d0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        a, b = lqa_estimate_coefficients(loss0, probe, d0)
-        assert abs(a - a_exact) <= 1e-9 * abs(a_exact)
-        assert abs(b - b_exact) <= 1e-9 * abs(b_exact)
         state = LqaState(delta0=d0)
         lqa_step(theta.copy(), grad, loss0, probe, state)
+        assert abs(state.a - a_exact) <= 1e-9 * abs(a_exact)
+        assert abs(state.b - b_exact) <= 1e-9 * abs(b_exact)
         assert abs(state.delta0 - expected_rate) <= 1e-9 * abs(expected_rate)
 
 
@@ -372,9 +389,10 @@ def test_first_coefficient_identity_on_logreg_batch():
     gg = float(grad @ grad)
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
+        state = LqaState(delta0=d0)
         probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
-        a, _ = lqa_estimate_coefficients(loss0, probe, d0)
-        errors.append(abs(a - gg))
+        lqa_step(params.copy(), grad, loss0, probe, state)
+        errors.append(abs(state.a - gg))
     assert errors[0] / gg < 1e-3
     assert 3.0 < errors[0] / errors[1] < 5.0
     assert 3.0 < errors[1] / errors[2] < 5.0
