@@ -170,30 +170,13 @@ def run_training(config, clock=time.perf_counter, log=None):
     params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)))
     if config.out:
         emit_csv([], config.out)
-    probes = 0
     if config.optimizer == "lqa":
         state = optim.LqaState()
-
-        def update(params, grad, loss, probe):
-            # each probe lqa_step makes is one more forward pass
-            def counted(s):
-                nonlocal probes
-                probes += 1
-                return probe(s)
-
-            optim.lqa_step(params, grad, loss, counted, state)
-            return state.delta0, state.last_verdict.value
-
     else:
         stepper = optim.make_baseline(config.optimizer, config.lr, params.size)
-
-        def update(params, grad, loss, probe):
-            stepper.step(params, grad)
-            return config.lr, ""
-
+    probes = []  # one entry per probe lqa_step makes, each one more forward pass
     records = []
     t0 = clock()
-    step = 0
     try:
         for epoch in range(1, config.epochs + 1):
             loss_sum = 0.0
@@ -202,8 +185,15 @@ def run_training(config, clock=time.perf_counter, log=None):
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"non-finite loss at epoch {epoch} step {k}")
                 loss_sum += loss
-                lr_used, verdict = update(params, grad, loss, probe)
-                step += 1
+                if config.optimizer == "lqa":
+                    # the probe it gets logs each call; append returns None
+                    optim.lqa_step(params, grad, loss,
+                                   lambda s: probes.append(s) or probe(s), state)
+                    lr_used, verdict = state.delta0, state.last_verdict.value
+                else:
+                    stepper.step(params, grad)
+                    lr_used, verdict = config.lr, ""
+                step = len(records) + 1
                 records.append(
                     MetricRecord(
                         epoch=epoch,
@@ -213,7 +203,7 @@ def run_training(config, clock=time.perf_counter, log=None):
                         lr_used=lr_used,
                         lqa_verdict=verdict,
                         # one forward and one backward per gradient pass
-                        forward_count=step + probes,
+                        forward_count=step + len(probes),
                         backward_count=step,
                         wall_time_s=clock() - t0,
                     )
@@ -512,12 +502,12 @@ def check_coefficient_identity():
 
 def run_verification():
     """The `verify` subcommand: oracle-backed self-checks, PASS/FAIL per line on stdout."""
-    failures = 0
+    failures = []
 
     def report(name, ok, detail):
-        nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-        failures += 0 if ok else 1
+        if not ok:
+            failures.append(name)
 
     worst = check_quadratic_exactness()
     report("rate solver exact on quadratics", worst < 1e-9, f"max rel err {worst:.2e}")
@@ -536,7 +526,7 @@ def run_verification():
         e1 < 1e-3 and 3.0 <= ratio <= 5.0,
         f"rel err {e1:.2e}, halving ratio {ratio:.2f}",
     )
-    return failures
+    return len(failures)
 
 
 # ---------------------------------------------------------------------------

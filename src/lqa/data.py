@@ -14,7 +14,9 @@ files work the same way.
 
 import gzip
 import hashlib
+import math
 import os
+import shutil
 import struct
 import tarfile
 import urllib.request
@@ -98,69 +100,63 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _read_idx(path, magic):
+    """The uint8 array in an IDX file (plain or .gz), checked against the expected magic.
+
+    The magic's low byte is the array's rank; a header of that many big-endian
+    int32 extents follows it, then the payload.
+    """
+    rank = magic & 0xFF
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rb") as f:
+        header = f.read(4 * (1 + rank))
+        if len(header) != 4 * (1 + rank):
+            raise ValueError(f"truncated IDX header in {path}")
+        got, *shape = struct.unpack(f">{1 + rank}i", header)
+        if got != magic:
+            raise ValueError(f"bad IDX magic {got} in {path}, expected {magic}")
+        extents = "x".join(map(str, shape))
+        if shape[0] < 0 or min(shape[1:], default=1) < 1:
+            raise ValueError(f"implausible IDX extents {extents} in {path}")
+        size = math.prod(shape)
+        # an absurd header asks for more bytes than an index can hold or memory can
+        try:
+            payload = f.read(size + 1)
+        except (OverflowError, MemoryError):
+            raise ValueError(f"IDX extents {extents} too large in {path}") from None
+        if len(payload) != size:
+            raise ValueError(f"payload size mismatch in {path}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
-def _read_be32(f, what):
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise ValueError(f"truncated IDX file while reading {what}")
-    return struct.unpack(">i", raw)[0]
+def _write_idx(path, magic, array):
+    """Serialize `array` as uint8 IDX bytes under `magic`, bit-exact."""
+    array = np.ascontiguousarray(array, dtype=np.uint8)
+    if array.ndim != magic & 0xFF:
+        raise ValueError(f"IDX magic {magic} holds rank {magic & 0xFF}, got shape {array.shape}")
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}i", magic, *array.shape))
+        f.write(array.tobytes())
 
 
 def read_idx_images(path):
     """Raw uint8 image stack (count, rows, cols) from an IDX image file."""
-    with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"bad image magic {magic} in {path}")
-        count = _read_be32(f, "count")
-        rows = _read_be32(f, "rows")
-        cols = _read_be32(f, "cols")
-        if count < 0 or rows < 1 or cols < 1:
-            raise ValueError(f"implausible IDX extents {count}x{rows}x{cols} in {path}")
-        # an absurd header asks for more bytes than an index can hold or memory can
-        try:
-            payload = f.read(count * rows * cols + 1)
-        except (OverflowError, MemoryError):
-            raise ValueError(f"IDX extents {count}x{rows}x{cols} too large in {path}") from None
-        if len(payload) != count * rows * cols:
-            raise ValueError(f"payload size mismatch in {path}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return _read_idx(path, IDX_IMAGE_MAGIC)
 
 
 def read_idx_labels(path):
     """Raw uint8 label vector from an IDX label file."""
-    with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"bad label magic {magic} in {path}")
-        count = _read_be32(f, "count")
-        if count < 0:
-            raise ValueError(f"implausible IDX count {count} in {path}")
-        payload = f.read(count + 1)
-        if len(payload) != count:
-            raise ValueError(f"payload size mismatch in {path}")
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, IDX_LABEL_MAGIC)
 
 
 def write_idx_images(path, images):
     """Serialize a uint8 (count, rows, cols) stack back to IDX bytes, bit-exact."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
+    _write_idx(path, IDX_IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels):
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+    """Serialize a uint8 label vector back to IDX bytes, bit-exact."""
+    _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
 def _find_idx(directory, stem):
@@ -188,7 +184,10 @@ def load_mnist(directory):
 
     A 1-tuple because perfbench's tracer wraps this and indexes its [0].
     """
-    images = read_idx_images(_find_idx(directory, "train-images-idx3-ubyte"))
+    path = _find_idx(directory, "train-images-idx3-ubyte")
+    images = read_idx_images(path)
+    if images.shape[1:] != (28, 28):
+        raise ValueError(f"{path} holds {images.shape[1]}x{images.shape[2]} images, not 28x28")
     labels = read_idx_labels(_find_idx(directory, "train-labels-idx1-ubyte"))
     if len(images) != len(labels):
         raise ValueError(
@@ -206,8 +205,8 @@ def load_cifar10(directory):
     """(train,) from the five data_batch files; test_batch.bin is not read.
 
     Accepts either the directory that directly contains the .bin files or its
-    parent (the archive extracts to cifar-10-batches-bin/). A 1-tuple for the
-    same reason as load_mnist.
+    parent (the archive extracts to cifar-10-batches-bin/). A 1-tuple, as
+    load_mnist returns, so bench._setup indexes both loaders alike.
     """
     inner = os.path.join(directory, CIFAR10_DIRNAME)
     if os.path.isdir(inner):
@@ -294,13 +293,23 @@ def _md5(path):
     return digest.hexdigest()
 
 
-def _download(url, dest):
-    with urllib.request.urlopen(url) as resp, open(dest, "wb") as out:
-        while True:
-            chunk = resp.read(1 << 20)
-            if not chunk:
-                break
-            out.write(chunk)
+def _save(src, path):
+    """Copy the file object `src` to `path` by way of `path + ".part"`, so
+    an interrupted copy never leaves a file under the final name."""
+    part = path + ".part"
+    with open(part, "wb") as dst:
+        shutil.copyfileobj(src, dst, 1 << 20)
+    os.replace(part, path)
+
+
+def _fetch_verified(url, path, md5):
+    """Download `url` to `path` unless it is there, then check its md5."""
+    if not os.path.exists(path):
+        with urllib.request.urlopen(url) as resp:
+            _save(resp, path)
+    got = _md5(path)
+    if got != md5:
+        raise ValueError(f"checksum mismatch for {os.path.basename(path)}: {got} != {md5}")
 
 
 def fetch_mnist(directory, base_url=MNIST_BASE_URL, checksums=None):
@@ -316,33 +325,25 @@ def fetch_mnist(directory, base_url=MNIST_BASE_URL, checksums=None):
         raw = archive[: -len(".gz")]
         if os.path.exists(raw):
             continue
-        if not os.path.exists(archive):
-            _download(base_url.rstrip("/") + "/" + name, archive)
-        got = _md5(archive)
-        if got != md5:
-            raise ValueError(f"checksum mismatch for {name}: {got} != {md5}")
-        with gzip.open(archive, "rb") as src, open(raw, "wb") as dst:
-            dst.write(src.read())
+        _fetch_verified(base_url.rstrip("/") + "/" + name, archive, md5)
+        with gzip.open(archive, "rb") as src:
+            _save(src, raw)
     return directory
 
 
 def fetch_cifar10(directory, url=CIFAR10_URL, md5=CIFAR10_MD5):
     """Download (if needed), verify, and extract the CIFAR-10 binary archive."""
-    os.makedirs(directory, exist_ok=True)
     target = os.path.join(directory, CIFAR10_DIRNAME)
+    os.makedirs(target, exist_ok=True)
     wanted = _CIFAR_TRAIN_FILES + ["test_batch.bin"]
     if all(os.path.exists(os.path.join(target, f)) for f in wanted):
         return target
     archive = os.path.join(directory, os.path.basename(url))
-    if not os.path.exists(archive):
-        _download(url, archive)
-    got = _md5(archive)
-    if got != md5:
-        raise ValueError(f"checksum mismatch for {os.path.basename(url)}: {got} != {md5}")
+    _fetch_verified(url, archive, md5)
     with tarfile.open(archive, "r:gz") as tar:
         for member in tar.getmembers():
             base = os.path.basename(member.name)
             if member.isfile() and base in wanted:
-                member.name = os.path.join(CIFAR10_DIRNAME, base)
-                tar.extract(member, directory)
+                with tar.extractfile(member) as src:
+                    _save(src, os.path.join(target, base))
     return target

@@ -15,8 +15,9 @@ fits the two coefficients from the loss at params -+ delta0*grad (two extra
 forward passes, no second derivatives), and steps with the minimizer
 a/(2b), clamped to a fixed box. Degenerate fits fall back to the previous
 rate instead of failing. Nothing about the rate is set per run: `LqaState`
-carries it, the verdict and the last fit from one step to the next, and
-holds the box and the curvature floor as constants.
+takes at most a starting probe radius delta0; the rate it carries to the
+next step, the step's verdict and its fit (a, b) are outputs each step
+writes, and the box and the curvature floor are constants.
 
 Sign convention, fixed once: probe(s) evaluates the loss at params - s*grad,
 so the probe at -delta0 is the "uphill" point params + delta0*grad. With that
@@ -153,12 +154,12 @@ class LqaState:
     """The rate carried from one batch step to the next, its verdict and its fit.
 
     delta0 is the probe radius, seeded at 0.01 and thereafter chained from
-    the previous step's solved rate. a and b are the last completed step's
-    coefficient estimates (None before the first); they are outputs, not
-    settings. The safeguards are constants of the method: the clamp box
-    [delta_min, delta_max] = [1e-6, 10] and the curvature floor b_min = 1e-12
-    guard the solved rate against degenerate local shapes the quadratic model
-    cannot represent.
+    the previous step's solved rate. last_verdict, a and b are the last
+    completed step's verdict and coefficient estimates (None before the
+    first); they are outputs, not settings. The safeguards are constants of
+    the method: the clamp box [delta_min, delta_max] = [1e-6, 10] and the
+    curvature floor b_min = 1e-12 guard the solved rate against degenerate
+    local shapes the quadratic model cannot represent.
     """
 
     delta_min = 1e-6
@@ -166,7 +167,7 @@ class LqaState:
     b_min = 1e-12
 
     delta0: float = 0.01
-    last_verdict: Verdict | None = None
+    last_verdict: Verdict | None = field(default=None, init=False)
     a: float | None = field(default=None, init=False)
     b: float | None = field(default=None, init=False)
 

@@ -135,6 +135,20 @@ def test_forward_count_counts_the_probes_lqa_step_makes(monkeypatch):
     assert all(r.forward_count == 4 * r.backward_count for r in recs)
 
 
+def test_log_reports_each_epoch_loss_and_last_rate(tmp_path):
+    cfg = TrainConfig(
+        model="logreg", dataset="mnist", optimizer="lqa", epochs=2, batch_size=64, seed=4,
+        data_dir=str(make_tiny_mnist(tmp_path)),
+    )
+    lines = []
+    recs = run_training(cfg, clock=FIXED_CLOCK, log=lines.append)
+    last = {r.epoch: r for r in recs}  # 3 steps per epoch, each with its own rate
+    assert len(recs) == 6 and len({r.lr_used for r in recs}) > 2
+    assert lines == [
+        f"epoch {e}/2  loss {r.epoch_loss:.6f}  lr {r.lr_used:.6g}" for e, r in last.items()
+    ]
+
+
 @pytest.mark.parametrize("name", ["sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam"])
 def test_all_baselines_run_on_quadratic(name):
     recs = run_training(quad_config(optimizer=name, lr=0.02, epochs=3), clock=FIXED_CLOCK)
@@ -568,6 +582,22 @@ def test_cli_train_reports_absurd_idx_extents(tmp_path, capsys, extents):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_images_that_are_not_28x28(tmp_path, capsys):
+    data_dir = make_tiny_mnist(tmp_path)
+    images = data_dir / "mnist" / "train-images-idx3-ubyte"
+    write_idx_images(images, np.zeros((192, 20, 20), dtype=np.uint8))
+    code = bench.cli_main(
+        [
+            "train", "--model", "lenet5", "--dataset", "mnist", "--optimizer", "lqa",
+            "--epochs", "1", "--data-dir", str(data_dir), "--out", str(tmp_path / "x.csv"),
+            "--quiet",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {images} holds 20x20 images, not 28x28" in err
 
 
 def test_cli_train_reports_out_that_is_a_directory(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import os
+import shutil
 import struct
 import tarfile
 import tracemalloc
@@ -130,6 +131,30 @@ def test_idx_absurd_extents_rejected(tmp_path, extents, gz):
         f.write(struct.pack(">iiii", 2051, *extents) + b"\x00" * 784)
     with pytest.raises(ValueError):
         read_idx_images(p)
+
+
+@pytest.mark.parametrize(
+    "read, header, match",
+    [
+        (read_idx_images, struct.pack(">iii", 2051, 1, 28), "truncated"),
+        (read_idx_images, struct.pack(">iiii", 2051, 1, 0, 28), "implausible"),
+        (read_idx_labels, struct.pack(">ii", 2049, -1), "implausible"),
+    ],
+    ids=["truncated-header", "zero-rows", "negative-count"],
+)
+def test_idx_malformed_header_rejected(tmp_path, read, header, match):
+    p = tmp_path / "idx"
+    p.write_bytes(header)
+    with pytest.raises(ValueError, match=match):
+        read(p)
+
+
+def test_idx_write_rejects_wrong_rank(tmp_path):
+    with pytest.raises(ValueError, match="rank 1"):
+        write_idx_labels(tmp_path / "labels", np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="rank 3"):
+        write_idx_images(tmp_path / "images", np.zeros((3, 784)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_mnist_shapes_scaling_and_gz(tmp_path):
@@ -359,7 +384,8 @@ def test_synthetic_quadratic_seed_deterministic():
 # --- fetch (exercised offline through file:// URLs) -----------------------------
 
 
-def test_fetch_mnist_verifies_and_decompresses(tmp_path):
+def make_mnist_archives(tmp_path):
+    """make_mnist_dir's four files gzipped under tmp_path/archives, with their md5s."""
     src_dir, _ = make_mnist_dir(tmp_path / "src")
     archive_dir = tmp_path / "archives"
     archive_dir.mkdir()
@@ -369,7 +395,34 @@ def test_fetch_mnist_verifies_and_decompresses(tmp_path):
         with open(src_dir / name, "rb") as f_in, gzip.open(archive_dir / gz_name, "wb") as f_out:
             f_out.write(f_in.read())
         checksums[gz_name] = hashlib.md5((archive_dir / gz_name).read_bytes()).hexdigest()
+    return archive_dir, checksums
 
+
+def make_cifar_archive(tmp_path):
+    """make_cifar_dir's six files in a cifar-10-binary.tar.gz, with its md5."""
+    base, _ = make_cifar_dir(tmp_path / "src")
+    tar_path = tmp_path / "cifar-10-binary.tar.gz"
+    with tarfile.open(tar_path, "w:gz") as tar:
+        tar.add(base / "cifar-10-batches-bin", arcname="cifar-10-batches-bin")
+    return tar_path, hashlib.md5(tar_path.read_bytes()).hexdigest()
+
+
+def interrupt_copy(monkeypatch, n):
+    """Stop the n-th file copy with KeyboardInterrupt after it wrote 8 bytes."""
+    real, calls = shutil.copyfileobj, []
+
+    def copy(src, dst, *args):
+        calls.append(None)
+        if len(calls) == n:
+            dst.write(src.read(8))
+            raise KeyboardInterrupt
+        return real(src, dst, *args)
+
+    monkeypatch.setattr(shutil, "copyfileobj", copy)
+
+
+def test_fetch_mnist_verifies_and_decompresses(tmp_path):
+    archive_dir, checksums = make_mnist_archives(tmp_path)
     dest = tmp_path / "dest"
     fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
     (train,) = load_mnist(dest)
@@ -379,31 +432,53 @@ def test_fetch_mnist_verifies_and_decompresses(tmp_path):
 
 
 def test_fetch_mnist_checksum_mismatch(tmp_path):
-    src_dir, _ = make_mnist_dir(tmp_path / "src")
-    archive_dir = tmp_path / "archives"
-    archive_dir.mkdir()
-    checksums = {}
-    for name in os.listdir(src_dir):
-        gz_name = name + ".gz"
-        with open(src_dir / name, "rb") as f_in, gzip.open(archive_dir / gz_name, "wb") as f_out:
-            f_out.write(f_in.read())
-        checksums[gz_name] = "0" * 32
+    archive_dir, checksums = make_mnist_archives(tmp_path)
+    checksums = dict.fromkeys(checksums, "0" * 32)
     with pytest.raises(ValueError, match="checksum"):
         fetch_mnist(str(tmp_path / "dest"), base_url=archive_dir.as_uri(), checksums=checksums)
 
 
-def test_fetch_cifar10_extracts_expected_members(tmp_path):
-    base, _ = make_cifar_dir(tmp_path / "src")
-    tar_path = tmp_path / "cifar-10-binary.tar.gz"
-    with tarfile.open(tar_path, "w:gz") as tar:
-        tar.add(base / "cifar-10-batches-bin", arcname="cifar-10-batches-bin")
-    md5 = hashlib.md5(tar_path.read_bytes()).hexdigest()
+@pytest.mark.parametrize("cut", [1, 2], ids=["download", "decompression"])
+def test_fetch_mnist_interrupted_leaves_no_file_under_its_final_name(tmp_path, monkeypatch, cut):
+    archive_dir, checksums = make_mnist_archives(tmp_path)
+    dest = tmp_path / "dest"
+    first = next(iter(checksums))  # the archive fetch_mnist takes first
+    interrupt_copy(monkeypatch, cut)
+    with pytest.raises(KeyboardInterrupt):
+        fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
+    left = [first + ".part"] if cut == 1 else [first, first[: -len(".gz")] + ".part"]
+    assert sorted(os.listdir(dest)) == sorted(left)
+    monkeypatch.undo()
+    fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
+    assert load_mnist(dest)[0].n == 96
+    assert not [name for name in os.listdir(dest) if name.endswith(".part")]
 
+
+def test_fetch_cifar10_extracts_expected_members(tmp_path):
+    tar_path, md5 = make_cifar_archive(tmp_path)
     dest = tmp_path / "dest"
     out = fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
     (train,) = load_cifar10(out)
     assert train.n == 35
     assert os.path.getsize(os.path.join(out, "test_batch.bin")) == 7 * 3073
+
+
+@pytest.mark.parametrize("cut", [1, 2], ids=["download", "extraction"])
+def test_fetch_cifar10_interrupted_leaves_no_file_under_its_final_name(tmp_path, monkeypatch, cut):
+    tar_path, md5 = make_cifar_archive(tmp_path)
+    dest = tmp_path / "dest"
+    interrupt_copy(monkeypatch, cut)
+    with pytest.raises(KeyboardInterrupt):
+        fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
+    if cut == 1:
+        assert sorted(os.listdir(dest)) == ["cifar-10-batches-bin", "cifar-10-binary.tar.gz.part"]
+    else:
+        # the archive adds its members in sorted order
+        assert os.listdir(dest / "cifar-10-batches-bin") == ["data_batch_1.bin.part"]
+    monkeypatch.undo()
+    out = fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
+    assert load_cifar10(out)[0].n == 35
+    assert not [name for name in os.listdir(out) if name.endswith(".part")]
 
 
 # --- checks against the real datasets, when fetched ------------------------------

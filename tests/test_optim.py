@@ -239,8 +239,10 @@ def test_state_validation():
 def test_fit_is_an_output_not_a_setting():
     with pytest.raises(TypeError):
         LqaState(a=1.0)
+    with pytest.raises(TypeError):
+        LqaState(last_verdict=Verdict.ACCEPTED)
     state = LqaState()
-    assert (state.a, state.b) == (None, None)
+    assert (state.a, state.b, state.last_verdict) == (None, None, None)
 
 
 # --- the full step -------------------------------------------------------------
@@ -318,6 +320,14 @@ def test_step_rejects_nonfinite():
         # rejected before anything was written
         assert np.array_equal(params, np.zeros(2))
         assert state == LqaState()
+
+
+def test_step_rejects_nonfinite_update_and_keeps_its_state():
+    # a = 4, b = 2 at d = 0.5 give rate 1, and 1e308 + 1e308 overflows
+    params, state = np.array([1e308]), LqaState(delta0=0.5)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="update"):
+        lqa_step(params, np.array([-1e308]), 1.0, line_probe(4.0, 2.0), state)
+    assert state == LqaState(delta0=0.5)
 
 
 def out_of_place_lqa_step(p, g, loss0, probe, d):
@@ -415,5 +425,5 @@ def test_full_batch_quadratic_descent_is_monotone():
 
 def test_state_replace_keeps_invariants():
     state = LqaState(delta0=0.5)
-    bumped = replace(state, delta0=1.0, last_verdict=Verdict.ACCEPTED)
+    bumped = replace(state, delta0=1.0)
     assert bumped.delta0 == 1.0 and state.delta0 == 0.5
