@@ -20,6 +20,7 @@ import shutil
 import struct
 import tarfile
 import urllib.request
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,24 +109,28 @@ def _read_idx(path, magic):
     """
     rank = magic & 0xFF
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as f:
-        header = f.read(4 * (1 + rank))
-        if len(header) != 4 * (1 + rank):
-            raise ValueError(f"truncated IDX header in {path}")
-        got, *shape = struct.unpack(f">{1 + rank}i", header)
-        if got != magic:
-            raise ValueError(f"bad IDX magic {got} in {path}, expected {magic}")
-        extents = "x".join(map(str, shape))
-        if shape[0] < 0 or min(shape[1:], default=1) < 1:
-            raise ValueError(f"implausible IDX extents {extents} in {path}")
-        size = math.prod(shape)
-        # an absurd header asks for more bytes than an index can hold or memory can
-        try:
-            payload = f.read(size + 1)
-        except (OverflowError, MemoryError):
-            raise ValueError(f"IDX extents {extents} too large in {path}") from None
-        if len(payload) != size:
-            raise ValueError(f"payload size mismatch in {path}")
+    try:
+        with opener(path, "rb") as f:
+            header = f.read(4 * (1 + rank))
+            if len(header) != 4 * (1 + rank):
+                raise ValueError(f"truncated IDX header in {path}")
+            got, *shape = struct.unpack(f">{1 + rank}i", header)
+            if got != magic:
+                raise ValueError(f"bad IDX magic {got} in {path}, expected {magic}")
+            extents = "x".join(map(str, shape))
+            if shape[0] < 0 or min(shape[1:], default=1) < 1:
+                raise ValueError(f"implausible IDX extents {extents} in {path}")
+            size = math.prod(shape)
+            # an absurd header asks for more bytes than an index can hold or memory can
+            try:
+                payload = f.read(size + 1)
+            except (OverflowError, MemoryError):
+                raise ValueError(f"IDX extents {extents} too large in {path}") from None
+            if len(payload) != size:
+                raise ValueError(f"payload size mismatch in {path}")
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # a cut or damaged .gz stream, which gzip reports without the file's name
+        raise ValueError(f"corrupt gzip stream in {path}: {exc}") from None
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 

@@ -9,6 +9,9 @@ textbook hyperparameters (momentum and RMSProp decay 0.9, Adam's beta1 0.9
 and beta2 0.999, eps 1e-8); only the rate is set per run. They are stepped
 by `make_baseline(...).step`.
 
+Updates run on one `BLOCK`-float slice at a time, each slice through all of
+its passes while it is in cache, with the bits of the whole-vector form.
+
 The seventh, `lqa_step`, picks its learning rate per batch step: it models
 the batch loss along the gradient direction as a quadratic in the step size,
 fits the two coefficients from the loss at params -+ delta0*grad (two extra
@@ -42,6 +45,9 @@ __all__ = [
     "lqa_step",
     "make_baseline",
 ]
+
+# floats per slice of an update (256 KB), small enough to stay in L2 for all of its passes
+BLOCK = 1 << 15
 
 
 def _check_grad(grad):
@@ -80,10 +86,10 @@ class Baseline:
         if name == "adam":
             self.v = np.zeros(dim, dtype=np.float64)
             self.t = 0
-            # scratch for Adam's update, which would otherwise allocate
-            # several parameter-sized temporaries per step
-            self._work = np.empty(dim, dtype=np.float64)
-            self._denom = np.empty(dim, dtype=np.float64)
+            # one block of scratch for Adam's update, which would otherwise
+            # allocate several temporaries per block
+            self._work = np.empty(min(dim, BLOCK), dtype=np.float64)
+            self._denom = np.empty(min(dim, BLOCK), dtype=np.float64)
 
     def step(self, params, grad):
         """Update `params` in place from `grad` and return `params` itself.
@@ -92,40 +98,47 @@ class Baseline:
         if `grad` holds NaN or Inf.
         """
         _check_grad(grad)
-        name, lr, acc = self.name, self.lr, self.acc
-        if name == "sgd":
-            params -= lr * grad
-        elif name in ("sgd-m", "sgd-nag"):
-            acc *= self.mu
-            acc += grad
-            params -= lr * (grad + self.mu * acc) if name == "sgd-nag" else lr * acc
-        elif name == "adagrad":
-            acc += grad * grad
-            params -= lr * grad / (np.sqrt(acc) + self.eps)
-        elif name == "rmsprop":
-            acc *= self.rho
-            acc += (1.0 - self.rho) * grad * grad
-            params -= lr * grad / (np.sqrt(acc) + self.eps)
-        else:
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-            # params -= lr*m_hat / (sqrt(v_hat) + eps), each operation in that
-            # order so the result is bitwise that of the out-of-place form
-            b1, b2, v, work, denom = self.beta1, self.beta2, self.v, self._work, self._denom
+        name, lr = self.name, self.lr
+        if name == "adam":
+            b1, b2 = self.beta1, self.beta2
             self.t += 1
-            acc *= b1
-            np.multiply(1.0 - b1, grad, out=work)
-            acc += work
-            v *= b2
-            np.multiply(1.0 - b2, grad, out=work)
-            work *= grad
-            v += work
-            np.divide(acc, 1.0 - b1**self.t, out=work)
-            work *= lr
-            np.divide(v, 1.0 - b2**self.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            work /= denom
-            params -= work
+            c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for lo in range(0, params.size, BLOCK):
+            s = slice(lo, lo + BLOCK)
+            p, g = params[s], grad[s]
+            acc = None if self.acc is None else self.acc[s]
+            if name == "sgd":
+                p -= lr * g
+            elif name in ("sgd-m", "sgd-nag"):
+                acc *= self.mu
+                acc += g
+                p -= lr * (g + self.mu * acc) if name == "sgd-nag" else lr * acc
+            elif name == "adagrad":
+                acc += g * g
+                p -= lr * g / (np.sqrt(acc) + self.eps)
+            elif name == "rmsprop":
+                acc *= self.rho
+                acc += (1.0 - self.rho) * g * g
+                p -= lr * g / (np.sqrt(acc) + self.eps)
+            else:
+                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+                # params -= lr*m_hat / (sqrt(v_hat) + eps), each operation in
+                # that order so the result is bitwise that of the out-of-place form
+                v, work, denom = self.v[s], self._work[: p.size], self._denom[: p.size]
+                acc *= b1
+                np.multiply(1.0 - b1, g, out=work)
+                acc += work
+                v *= b2
+                np.multiply(1.0 - b2, g, out=work)
+                work *= g
+                v += work
+                np.divide(acc, c1, out=work)
+                work *= lr
+                np.divide(v, c2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                work /= denom
+                p -= work
         return params
 
 
@@ -214,7 +227,8 @@ def lqa_step(params, grad, loss0, probe, state):
         raw = a / (2.0 * b)
         rate = min(max(raw, state.delta_min), state.delta_max)
         verdict = Verdict.ACCEPTED if rate == raw else Verdict.CLAMPED
-    params -= rate * grad
+    for lo in range(0, params.size, BLOCK):
+        params[lo : lo + BLOCK] -= rate * grad[lo : lo + BLOCK]
     if not np.all(np.isfinite(params)):
         raise NonFiniteError("update produced non-finite parameters")
     state.delta0, state.last_verdict, state.a, state.b = rate, verdict, a, b

@@ -1,3 +1,4 @@
+import gzip
 import math
 import os
 import struct
@@ -582,6 +583,43 @@ def test_cli_train_reports_absurd_idx_extents(tmp_path, capsys, extents):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _cut_in_half(stream):
+    return stream[: len(stream) // 2]
+
+
+def _reserved_block_type(stream):
+    # gzip.compress writes a 10-byte header; setting both BTYPE bits of the
+    # first deflate block header makes zlib fail with "invalid block type"
+    damaged = bytearray(stream)
+    damaged[10] |= 0b110
+    return bytes(damaged)
+
+
+def _bad_crc(stream):
+    damaged = bytearray(stream)
+    damaged[-8] ^= 0x01  # the trailer's CRC-32 of the uncompressed data
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize(
+    "damage", [_cut_in_half, _reserved_block_type, _bad_crc], ids=["truncated", "corrupt", "crc"]
+)
+def test_cli_train_reports_a_damaged_gz(tmp_path, capsys, damage):
+    data_dir = make_tiny_mnist(tmp_path)
+    images = data_dir / "mnist" / "train-images-idx3-ubyte"
+    archive = images.with_name(images.name + ".gz")
+    archive.write_bytes(damage(gzip.compress(images.read_bytes(), mtime=0)))
+    images.unlink()
+    code = bench.cli_main(
+        [
+            "train", "--dataset", "mnist", "--optimizer", "lqa", "--epochs", "1",
+            "--data-dir", str(data_dir), "--out", str(tmp_path / "x.csv"), "--quiet",
+        ]
+    )
+    assert code == 1
+    assert f"error: corrupt gzip stream in {archive}" in capsys.readouterr().err
 
 
 def test_cli_train_rejects_images_that_are_not_28x28(tmp_path, capsys):

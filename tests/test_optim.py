@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from lqa import nn
 from lqa.data import Batch, synthetic_quadratic
 from lqa.optim import (
     BASELINES,
+    BLOCK,
     LqaState,
     Verdict,
     lqa_step,
@@ -63,6 +65,21 @@ def test_in_place_step_matches_out_of_place_recurrence_bitwise(name):
         assert stepper.step(params, g) is params
         expected = reference(expected, g)
         assert np.array_equal(params, expected), f"step {i + 1}"
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_step_spanning_blocks_matches_out_of_place_recurrence_bitwise(name):
+    # two full blocks and a ragged third, so the update's block loop is exercised
+    dim, rng = 2 * BLOCK + 7, Rng(43)
+    params = rng_uniform(rng, (dim,), -1.0, 1.0)
+    expected = params.copy()
+    stepper = make_baseline(name, 0.01, dim)
+    reference = out_of_place_baseline(name, 0.01, dim)
+    for i in range(5):
+        g = rng_uniform(rng, (dim,), -1.0, 1.0) * 10.0 ** (i - 2)
+        assert stepper.step(params, g) is params
+        expected = reference(expected, g)
+        assert params.tobytes() == expected.tobytes(), f"step {i + 1}"
 
 
 def test_sgd_zero_lr_is_identity():
@@ -365,6 +382,63 @@ def test_in_place_step_matches_out_of_place_reference_bitwise():
         assert lqa_step(theta, grad, loss, ray_probe(q, theta, grad), state) is theta
         assert theta.tobytes() == ref.tobytes()
         assert (state.delta0, state.last_verdict, state.a, state.b) == (d, verdict, a, b)
+
+
+def test_step_spanning_blocks_matches_out_of_place_reference_bitwise():
+    # a diagonal quadratic 0.5 * sum(h * theta^2) over two full blocks and a
+    # ragged third; a dense Hessian of that size would not fit the suite
+    dim, rng = 2 * BLOCK + 7, Rng(9)
+    h = rng_uniform(rng, (dim,), 0.1, 10.0)
+    theta = rng_uniform(rng, (dim,), -1.0, 1.0)
+    ref, d = theta.copy(), 0.01
+    state = LqaState()
+
+    def loss_grad_probe(t):
+        g = h * t
+        return 0.5 * float(h @ (t * t)), g, lambda s: 0.5 * float(h @ ((t - s * g) ** 2))
+
+    for _ in range(5):
+        loss, grad, probe = loss_grad_probe(ref)
+        ref, d, verdict, a, b = out_of_place_lqa_step(ref, grad, loss, probe, d)
+
+        loss, grad, probe = loss_grad_probe(theta)
+        assert lqa_step(theta, grad, loss, probe, state) is theta
+        assert theta.tobytes() == ref.tobytes()
+        assert (state.delta0, state.last_verdict, state.a, state.b) == (d, verdict, a, b)
+
+
+def _traced_peak(call):
+    """The peak bytes tracemalloc (which numpy reports its buffers to) sees during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["sgd", "sgd-m", "adam", "lqa"])
+def test_step_allocates_no_parameter_sized_temporary(name):
+    # one whole-vector temporary would take all of the parameters' bytes;
+    # a step's temporaries are one block each, an eighth of them here
+    dim, rng = 8 * BLOCK + 5, Rng(5)
+    params = rng_uniform(rng, (dim,), -1.0, 1.0)
+    grad = rng_uniform(rng, (dim,), -1.0, 1.0)
+    if name == "lqa":
+        state = LqaState()
+        step = lambda: lqa_step(params, grad, 1.0, line_probe(4.0, 2.0), state)
+    else:
+        stepper = make_baseline(name, 0.01, dim)
+        step = lambda: stepper.step(params, grad)
+    assert _traced_peak(step) < params.nbytes / 4
+
+
+def test_adam_holds_two_parameter_sized_vectors_and_two_blocks():
+    dim = 8 * BLOCK + 5
+    # the two moments plus one block each of scratch; the slack covers the
+    # array and object headers, far less than a third block
+    bound = 8 * (2 * dim + 2 * BLOCK) + 4096
+    assert _traced_peak(lambda: make_baseline("adam", 0.01, dim)) <= bound
 
 
 # --- quadratic exactness against the explicit-Hessian oracle -------------------
