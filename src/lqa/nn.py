@@ -14,7 +14,9 @@ counts the probes the optimizer makes.
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
 input gradient, so the layers before it never run backward. MaxPool2 keeps a
-small first-max code per window for its backward, not its input.
+small first-max code per window for its backward, not its input. Conv2d lays
+its columns, output and input gradient out channel first, so im2col and
+col2im run over contiguous memory, and it keeps one column buffer at a time.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
@@ -106,8 +108,13 @@ class Relu(Layer):
 class Conv2d(Layer):
     """Valid (unpadded) 2-D convolution, stride 1, square kernel.
 
-    Forward lowers each input window to a row (im2col) and runs one matrix
-    product against the reshaped filter bank.
+    Forward copies the input into channel-major columns (im2col), shape
+    (cin*k*k, n*oh*ow), and runs one matrix product against the (cout,
+    cin*k*k) filter bank; its output is an (n, cout, oh, ow) view of (cout, n,
+    oh, ow) memory. The last pass's columns are dropped before new ones are
+    built, so one column buffer is live. Backward adds each kernel offset's
+    (cin, n, oh, ow) slab of column gradients, contiguous per channel, into a
+    (cin, n, h, w) buffer (col2im); the input gradient is a view of it.
     """
 
     def __init__(self, in_channels, out_channels, kernel=5):
@@ -129,14 +136,15 @@ class Conv2d(Layer):
         oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} smaller than kernel {k}x{k}")
+        self._cols = None  # free the last pass's columns before the new ones exist
         windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, cin, oh, ow, k, k)
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(n * oh * ow, cin * k * k)
+        cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * k * k, -1)
         W, b = self.params
-        out = cols @ W.reshape(self.cout, -1).T + b
+        out = W.reshape(self.cout, -1) @ cols
+        out += b[:, None]
         self._cols = cols
         self._xshape = x.shape
-        return out.reshape(n, oh, ow, self.cout).transpose(0, 3, 1, 2)
+        return out.reshape(self.cout, n, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(self, dout, input_grad=True):
         n, cin, h, w = self._xshape
@@ -144,18 +152,18 @@ class Conv2d(Layer):
         _, cout, oh, ow = dout.shape
         W, _ = self.params
         gW, gb = self.grads
-        dmat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
-        np.matmul(dmat.T, self._cols, out=gW.reshape(cout, -1))
+        # (n*oh*ow, cout) rows: with this operand layout gW and gb keep their bits
+        dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        np.matmul(dmat.T, self._cols.T, out=gW.reshape(cout, -1))
         np.sum(dmat, axis=0, out=gb)
         if not input_grad:
             return None
-        dcols = dmat @ W.reshape(cout, -1)
-        dcols = dcols.reshape(n, oh, ow, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dx = np.zeros(self._xshape, dtype=np.float64)
+        dcols = (W.reshape(cout, -1).T @ dmat.T).reshape(cin, k, k, n, oh, ow)
+        dx = np.zeros((cin, n, h, w), dtype=np.float64)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j]
-        return dx
+                dx[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
+        return dx.transpose(1, 0, 2, 3)
 
 
 class MaxPool2(Layer):

@@ -701,3 +701,87 @@ def test_cli_fetch_mnist_offline(tmp_path, monkeypatch):
     )
     assert code == 0
     assert os.path.exists(dest / "mnist" / "train-images-idx3-ubyte")
+
+
+# --- malformed inputs: every damaged file ends in exit 0, or in 1 and `error:` ---
+
+
+def damaged_copies(raw, rng, header_len, samples=8):
+    """(case, bytes): raw cut at every header offset and at sampled later offsets,
+    then raw with each header bit flipped in turn and with sampled later bits flipped."""
+    later = rng.choice(np.arange(header_len, len(raw)), samples, replace=False)
+    for cut in [*range(header_len), *sorted(int(i) for i in later)]:
+        yield f"cut at byte {cut}", raw[:cut]
+    flips = [(i, bit) for i in range(header_len) for bit in range(8)]
+    flips += [(int(i), int(rng.integers(8))) for i in rng.integers(header_len, len(raw), samples)]
+    for i, bit in flips:
+        damaged = bytearray(raw)
+        damaged[i] ^= 1 << bit
+        yield f"bit {bit} of byte {i} flipped", bytes(damaged)
+
+
+def assert_ends_cleanly(capsys, argv, case):
+    code = bench.cli_main(argv)  # an exception escaping it fails the test
+    err = capsys.readouterr().err
+    assert code in (0, 1), case
+    assert code == 0 or "error:" in err, case
+
+
+def sweep_damaged_file(capsys, path, header_len, argv):
+    raw = path.read_bytes()
+    rng = np.random.default_rng(len(raw))
+    for case, damaged in damaged_copies(raw, rng, header_len):
+        path.write_bytes(damaged)
+        assert_ends_cleanly(capsys, argv, f"{path.name}: {case}")
+    path.write_bytes(raw)
+
+
+def train_argv(tmp_path, data_dir, dataset):
+    return [
+        "train", "--dataset", dataset, "--optimizer", "lqa", "--epochs", "1",
+        "--data-dir", str(data_dir), "--out", str(tmp_path / "sweep.csv"), "--quiet",
+    ]
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gz"])
+@pytest.mark.parametrize(
+    "stem,header_len", [("train-images-idx3-ubyte", 16), ("train-labels-idx1-ubyte", 8)]
+)
+def test_cli_train_ends_cleanly_on_damaged_idx(tmp_path, capsys, stem, header_len, compressed):
+    data_dir = make_tiny_mnist(tmp_path, n_train=128, n_test=1)
+    path = data_dir / "mnist" / stem
+    if compressed:
+        gz = path.with_name(stem + ".gz")
+        gz.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+        path.unlink()
+        path, header_len = gz, 10  # the gzip member's fixed header
+    sweep_damaged_file(capsys, path, header_len, train_argv(tmp_path, data_dir, "mnist"))
+
+
+def test_cli_train_ends_cleanly_on_a_damaged_cifar_batch(tmp_path, capsys):
+    data_dir = make_tiny_cifar(tmp_path)
+    path = data_dir / "cifar-10-batches-bin" / "data_batch_1.bin"
+    # a record's first byte is its label: flipping its bits makes labels out of range
+    sweep_damaged_file(capsys, path, 1, train_argv(tmp_path, data_dir, "cifar10"))
+
+
+def test_cli_plot_ends_cleanly_on_damaged_csvs(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    flat_csv(tmp_path, path.name, epochs=3)
+    text = path.read_text()
+    argv = ["plot", "--out", str(tmp_path / "run.svg"), str(path)]
+    rows = text.splitlines(keepends=True)
+    cases = [(f"cut at byte {cut}", text[:cut]) for cut in range(len(text))]
+    for r, row in enumerate(rows):
+        cells = row.rstrip("\r\n").split(",")
+        for name, shifted in (
+            ("first cell dropped", cells[1:]),
+            ("empty cell prepended", ["", *cells]),
+            ("cells shifted right", ["", *cells[:-1]]),
+            ("cells shifted left", [*cells[1:], ""]),
+        ):
+            damaged = "".join([*rows[:r], ",".join(shifted) + "\n", *rows[r + 1 :]])
+            cases.append((f"row {r}: {name}", damaged))
+    for case, damaged in cases:
+        path.write_text(damaged)
+        assert_ends_cleanly(capsys, argv, case)

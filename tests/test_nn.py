@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lqa import nn
 from lqa.data import Batch
@@ -284,6 +285,21 @@ def conv_naive(x, W, b):
     return out
 
 
+def conv_naive_backward(x, W, dout):
+    """(dx, gW) of sum(dout * conv(x)), one output position at a time."""
+    _, _, k, _ = W.shape
+    n, cout, oh, ow = dout.shape
+    dx, gW = np.zeros_like(x), np.zeros_like(W)
+    for im in range(n):
+        for f in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    g = dout[im, f, i, j]
+                    dx[im, :, i : i + k, j : j + k] += g * W[f]
+                    gW[f] += g * x[im, :, i : i + k, j : j + k]
+    return dx, gW
+
+
 def test_conv_matches_naive_loop_oracle():
     rng = Rng(23)
     layer = nn.Conv2d(1, 2, 3)
@@ -292,6 +308,113 @@ def test_conv_matches_naive_loop_oracle():
     layer.params = [W, b]
     x = rng_uniform(rng, (1, 1, 6, 6), -1.0, 1.0)
     assert np.allclose(layer.forward(x), conv_naive(x, W, b), rtol=0.0, atol=1e-13)
+
+    # an odd batch, channel count and extent, through backward as well
+    layer = nn.Conv2d(2, 3, 3)
+    W = rng_uniform(rng, (3, 2, 3, 3), -1.0, 1.0)
+    b = rng_uniform(rng, (3,), -0.5, 0.5)
+    layer.params = [W, b]
+    layer.grads = [np.empty_like(W), np.empty_like(b)]
+    x = rng_uniform(rng, (7, 2, 9, 9), -1.0, 1.0)
+    dout = rng_uniform(rng, (7, 3, 7, 7), -1.0, 1.0)
+    assert np.allclose(layer.forward(x), conv_naive(x, W, b), rtol=0.0, atol=1e-12)
+    dx = layer.backward(dout)
+    dx_naive, gW_naive = conv_naive_backward(x, W, dout)
+    assert np.allclose(dx, dx_naive, rtol=0.0, atol=1e-12)
+    assert np.allclose(layer.grads[0], gW_naive, rtol=0.0, atol=1e-12)
+    assert np.allclose(layer.grads[1], dout.sum(axis=(0, 2, 3)), rtol=0.0, atol=1e-12)
+
+
+class RowMajorConv2d(nn.Conv2d):
+    """Conv2d with one im2col row per window and NHWC products.
+
+    The bit reference for the channel-major layer: every fixed-clock CSV was
+    written with these bits.
+    """
+
+    def forward(self, x):
+        n, cin, h, w = x.shape
+        k = self.k
+        oh, ow = h - k + 1, w - k + 1
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        cols = cols.reshape(n * oh * ow, cin * k * k)
+        W, b = self.params
+        out = cols @ W.reshape(self.cout, -1).T + b
+        self._cols = cols
+        self._xshape = x.shape
+        return out.reshape(n, oh, ow, self.cout).transpose(0, 3, 1, 2)
+
+    def backward(self, dout):
+        n, cin, h, w = self._xshape
+        k = self.k
+        _, cout, oh, ow = dout.shape
+        W, _ = self.params
+        gW, gb = self.grads
+        dmat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
+        np.matmul(dmat.T, self._cols, out=gW.reshape(cout, -1))
+        np.sum(dmat, axis=0, out=gb)
+        dcols = dmat @ W.reshape(cout, -1)
+        dcols = dcols.reshape(n, oh, ow, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
+        dx = np.zeros(self._xshape, dtype=np.float64)
+        for i in range(k):
+            for j in range(k):
+                dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j]
+        return dx
+
+
+def channel_major(a):
+    """a's values in (c, n, ...) memory, viewed as (n, c, ...), as the conv layers hand them on."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# LeNet-5's convolutions at batch 64. conv2's shape is the same on MNIST and CIFAR.
+@pytest.mark.parametrize(
+    "x_shape,cout",
+    [((64, 1, 32, 32), 6), ((64, 3, 32, 32), 6), ((64, 6, 14, 14), 16)],
+    ids=["mnist-conv1", "cifar-conv1", "conv2"],
+)
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, channel_major], ids=["nchw", "cnhw"])
+def test_conv_keeps_the_bits_of_row_major_im2col(x_shape, cout, layout):
+    # bits at other batch sizes depend on how BLAS blocks each product's shape
+    rng = Rng(41)
+    n, cin, side, _ = x_shape
+    W = rng_uniform(rng, (cout, cin, 5, 5), -0.3, 0.3)
+    b = rng_uniform(rng, (cout,), -0.1, 0.1)
+    x = rng_uniform(rng, x_shape, -1.0, 1.0)
+    dout = rng_uniform(rng, (n, cout, side - 4, side - 4), -1.0, 1.0)
+    results = []
+    reference = (RowMajorConv2d(cin, cout), np.ascontiguousarray)
+    for layer, feed in (reference, (nn.Conv2d(cin, cout), layout)):
+        layer.params = [W, b]
+        layer.grads = [np.empty_like(W), np.empty_like(b)]
+        out = layer.forward(feed(x))
+        dx = layer.backward(feed(dout))
+        results.append((out, dx, *layer.grads))
+    for name, ref, got in zip(("out", "dx", "gW", "gb"), *results):
+        assert got.shape == ref.shape
+        assert np.array_equal(bits(got), bits(ref)), name
+
+
+def test_conv_forward_keeps_one_column_buffer():
+    # LeNet-5's conv1 on MNIST at batch 64: 25 rows of 64*28*28 floats, 10 MB
+    layer = nn.Conv2d(1, 6, 5)
+    rng = Rng(43)
+    layer.params = [rng_uniform(rng, (6, 1, 5, 5), -0.3, 0.3), np.zeros(6)]
+    x = rng_uniform(rng, (64, 1, 32, 32), 0.0, 1.0)
+    cols_nbytes = 25 * 64 * 28 * 28 * 8
+    tracemalloc.start()
+    try:
+        layer.forward(x)
+        layer.forward(x)  # the first pass's columns must be gone before these are built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cols_nbytes
 
 
 # --- builders ---------------------------------------------------------------
