@@ -10,7 +10,8 @@ can be pinned with a fixed clock for byte-identical output.
 Cost accounting: every gradient pass counts one forward and one backward;
 every optimizer probe counts one extra forward. The per-step rate estimator
 therefore shows exactly forward_count == 3 * backward_count, baselines show
-equality.
+equality. A probe runs less than a forward (it starts at the first weighted
+layer from the gradient pass's state), so the count overstates its cost.
 """
 
 import argparse
@@ -104,12 +105,12 @@ def _setup(config, rng):
 
     params is the initial vector, owned by the caller; epoch() returns one
     epoch's batches; evaluate(batch, params) returns the batch loss, its
-    gradient and probe(s), the loss at params - s*grad. Each probe call is one
-    forward pass; the run loop counts the calls. A model run allocates one
-    scratch vector of params' shape, which every probe of every step writes
-    its point into, so probing allocates no parameter-sized vector, and one
-    float64 buffer of (N//n)*n input rows, which every epoch's batches are
-    views of.
+    gradient and probe(s), the loss at params - s*grad. Each probe call counts
+    as one forward pass; the run loop counts the calls. A model run allocates
+    one scratch vector of params' shape, which every probe of every step
+    writes its point into, so probing allocates no parameter-sized vector,
+    and one float64 buffer of (N//n)*n input rows, which every epoch's
+    batches are views of.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))

@@ -4,12 +4,8 @@ Every model is a plain sequence of layers topped by a fused softmax
 cross-entropy head. A model holds the layout of its parameters, never their
 values: each pass binds the layers' weight tensors to reshaped views of the
 flat float64 vector it is given, so evaluating the loss at a new vector
-(which the probe-based optimizer does three times per batch step) copies
-nothing. A gradient pass binds a fresh gradient vector of the same layout,
-which the weighted layers fill in place, and returns it. The loss probe
-writes each probe point into a scratch vector the caller owns, so probing
-allocates no parameter-sized vector. It counts nothing: the training loop
-counts the probes the optimizer makes.
+copies nothing. A gradient pass binds a fresh gradient vector of the same
+layout, which the weighted layers fill in place, and returns it.
 
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
@@ -17,6 +13,16 @@ input gradient, so the layers before it never run backward. MaxPool2 keeps a
 small first-max code per window for its backward, not its input. Conv2d lays
 its columns, output and input gradient out channel first, so im2col and
 col2im run over contiguous memory, and it keeps one column buffer at a time.
+
+The loss probe, which the probe-based optimizer calls twice per batch step,
+redoes no work that is the same at every step size. It starts at the first
+weighted layer, from what the step's gradient pass left there: Conv2d's
+columns, against which it multiplies the probe point's filters, or Dense's
+output, which is affine along the gradient ray. The layers before it, which
+see only the batch, do not run again. It writes the parameters after that
+layer into a scratch vector the caller owns, so probing allocates no
+parameter-sized vector. It counts nothing: the training loop counts the
+probes the optimizer makes.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
@@ -55,7 +61,10 @@ class Layer:
     param_shapes and define fans(), the (fan_in, fan_out) of their weight
     tensor that init_params reads. They also take `input_grad`: with False
     they fill grads and return None, skipping the input gradient that nobody
-    reads below a model's first weighted layer.
+    reads below a model's first weighted layer. Their `ray(G, gb)` returns
+    f(s), the output on the last forward's input at that forward's weights
+    moved to W - s*G and b - s*gb, from what that forward kept; the loss probe
+    reads it.
     """
 
     param_shapes = ()
@@ -69,21 +78,33 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer: x @ W + b with W of shape (in, out)."""
+    """Fully connected layer: x @ W + b with W of shape (in, out).
+
+    Forward keeps its input, for backward, and its output, for `ray`. It
+    drops the last pass's output before computing the new one: with both
+    alive for a moment, an MLP LQA run's peak RSS read about 10 MB higher.
+    """
 
     def __init__(self, in_dim, out_dim):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.param_shapes = ((in_dim, out_dim), (out_dim,))
-        self._x = None
+        self._x = self._out = None
 
     def fans(self):
         return self.in_dim, self.out_dim
 
     def forward(self, x):
         self._x = x
+        self._out = None  # free the last pass's output before the new one exists
         W, b = self.params
-        return x @ W + b
+        self._out = x @ W + b
+        return self._out
+
+    def ray(self, G, gb):
+        """Affine in s: z0 - s*(x @ G + gb), z0 the kept output; x @ G is taken here, once."""
+        z0, zg = self._out, self._x @ G + gb
+        return lambda s: z0 - s * zg
 
     def backward(self, dout, input_grad=True):
         W, _ = self.params
@@ -114,7 +135,9 @@ class Conv2d(Layer):
     oh, ow) memory. The last pass's columns are dropped before new ones are
     built, so one column buffer is live. Backward adds each kernel offset's
     (cin, n, oh, ow) slab of column gradients, contiguous per channel, into a
-    (cin, n, h, w) buffer (col2im); the input gradient is a view of it.
+    (cin, n, h, w) buffer (col2im); the input gradient is a view of it. Its
+    `ray` multiplies the last forward's filters, moved along the ray, against
+    the kept columns, with a forward's bits; the output itself is not kept.
     """
 
     def __init__(self, in_channels, out_channels, kernel=5):
@@ -124,6 +147,7 @@ class Conv2d(Layer):
         self.param_shapes = ((out_channels, in_channels, kernel, kernel), (out_channels,))
         self._cols = None
         self._xshape = None
+        self._weights = ()  # the last forward's (W, b), views of the vector it was bound to
 
     def fans(self):
         return self.cin * self.k * self.k, self.cout * self.k * self.k
@@ -138,13 +162,22 @@ class Conv2d(Layer):
             raise ValueError(f"input {h}x{w} smaller than kernel {k}x{k}")
         self._cols = None  # free the last pass's columns before the new ones exist
         windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, cin, oh, ow, k, k)
-        cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * k * k, -1)
-        W, b = self.params
-        out = W.reshape(self.cout, -1) @ cols
-        out += b[:, None]
-        self._cols = cols
+        self._cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * k * k, -1)
         self._xshape = x.shape
-        return out.reshape(self.cout, n, oh, ow).transpose(1, 0, 2, 3)
+        self._weights = self.params
+        return self._product(*self._weights)
+
+    def ray(self, G, gb):
+        W, b = self._weights
+        return lambda s: self._product(W - s * G, b - s * gb)
+
+    def _product(self, W, b):
+        """The (n, cout, oh, ow) output of filters W and bias b on the kept columns."""
+        n, _, h, w = self._xshape
+        k = self.k
+        out = W.reshape(self.cout, -1) @ self._cols
+        out += b[:, None]
+        return out.reshape(self.cout, n, h - k + 1, w - k + 1).transpose(1, 0, 2, 3)
 
     def backward(self, dout, input_grad=True):
         n, cin, h, w = self._xshape
@@ -258,6 +291,8 @@ class Model:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self._layout = []  # (layer, ((slice, shape), ...)) for each weighted layer
+        self.passes = 0  # full forward passes; a probe's partial pass does not count
+        self._grad_pass = (None, None, None)  # (passes, batch, params) at the last gradient pass
         offset = 0
         for layer in self.layers:
             spans = []
@@ -281,27 +316,46 @@ class Model:
 
     def forward(self, x):
         """Logits for a batch shaped (n, *input_shape)."""
+        self.passes += 1
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
+    def _forward_after_first(self, z):
+        """Logits from z, the first weighted layer's output; the layers up to it do not run."""
+        for layer in self.layers[self.layers.index(self._layout[0][0]) + 1 :]:
+            z = layer.forward(z)
+        return z
 
-def _loss_head(model, batch):
+
+def _loss_head(model, batch, first_output=None):
     """(loss, dlogits) of the model on the batch, at whatever params are bound."""
     n = len(batch.labels)
     if n == 0:
         raise ValueError("batch is empty")
-    x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
-    loss, dlogits = softmax_cross_entropy(model.forward(x), batch.labels)
+    if first_output is None:
+        x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
+        logits = model.forward(x)
+    else:
+        # made inside the call, so only the layers hold that output and can free it
+        logits = model._forward_after_first(first_output())
+    loss, dlogits = softmax_cross_entropy(logits, batch.labels)
     if not np.isfinite(loss):
         raise NonFiniteError("forward pass produced a non-finite loss")
     return loss, dlogits
 
 
-def forward_loss(model, batch, params):
-    """Mean batch NLL at the given parameter vector, which is only read."""
+def forward_loss(model, batch, params, first_output=None):
+    """Mean batch NLL at the given parameter vector, which is only read.
+
+    With `first_output`, a function returning the first weighted layer's
+    output on this batch, the pass starts after that layer: the layers up to
+    it do not run, their span of `params` is not read, and the pass does not
+    count in `model.passes`. The function is called as the pass begins, so
+    that no caller keeps that output alive through the later layers.
+    """
     model.bind(params)
-    return _loss_head(model, batch)[0]
+    return _loss_head(model, batch, first_output)[0]
 
 
 def backward(model, batch, params):
@@ -319,6 +373,7 @@ def backward(model, batch, params):
     for layer in reversed(model.layers):
         if layer is first:
             layer.backward(d, input_grad=False)
+            model._grad_pass = (model.passes, batch, params)
             break
         d = layer.backward(d)
     return loss, grad
@@ -404,15 +459,40 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
 def make_loss_probe(model, batch, params, grad, scratch):
     """Probe(s) = mean batch loss at params - s*grad, without touching `params`.
 
-    Each call is one forward pass. It writes the probe point params - s*grad
-    into `scratch`, a vector of params' shape that the caller owns and that
-    aliases neither `params` nor `grad`; it holds that point when the call
-    returns. The point has the same bits as the out-of-place expression.
+    Build it right after the gradient pass nn.backward(model, batch, params)
+    that returned `grad`. Each call starts at the model's first weighted layer
+    and takes that layer's output at the probe point from its `ray`, which
+    reads what the gradient pass kept: Conv2d multiplies W - s*G against its
+    columns, with every bit of a forward at the point; Dense returns z0 -
+    s*(x @ G + gb), which reorders a forward's arithmetic. The layers before
+    it do not run. The call writes the parameters after that layer, params -
+    s*grad with the bits of the out-of-place expression, into `scratch`, a
+    vector of params' shape that the caller owns and that aliases neither
+    `params` nor `grad`, and runs the rest of the model through forward_loss.
+
+    Building the probe computes nothing and keeps nothing alive; the one-off
+    work (Dense's x @ G) runs at the first call. Building raises ValueError
+    unless the model's last full forward was the gradient pass at this very
+    `batch` and `params` object, and a call raises it once the model has run
+    another full forward: in both cases the first layer's kept state belongs
+    to another pass. `params` must not change in place before the last call.
     """
+    first, spans = model._layout[0]
+    rest = slice(spans[-1][0].stop, None)
+    passes, grad_batch, grad_params = model._grad_pass
+    if passes != model.passes or grad_batch is not batch or grad_params is not params:
+        raise ValueError("a probe must follow the gradient pass at its batch and params")
+    along = None
 
     def probe(s):
-        np.multiply(grad, float(s), out=scratch)
-        np.subtract(params, scratch, out=scratch)
-        return forward_loss(model, batch, scratch)
+        nonlocal along
+        if model.passes != passes:
+            raise ValueError("the model ran a forward pass since this probe was made")
+        if along is None:
+            along = first.ray(*(grad[sl].reshape(shape) for sl, shape in spans))
+        s = float(s)
+        np.multiply(grad[rest], s, out=scratch[rest])
+        np.subtract(params[rest], scratch[rest], out=scratch[rest])
+        return forward_loss(model, batch, scratch, lambda: along(s))
 
     return probe

@@ -521,19 +521,98 @@ def test_probe_evaluates_every_point_and_leaves_inputs_untouched():
     _, grad = nn.backward(model, batch, params)
     params_before = params.copy()
     grad_before = grad.copy()
-    scratch = np.empty_like(params)
-    probe = nn.make_loss_probe(model, batch, params, grad, scratch)
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
     shifted = probe(0.05)
-    assert shifted == nn.forward_loss(model, batch, params - 0.05 * grad)
     assert probe(0.05) == shifted  # pure: same input, same value
-    # the probe point lands in the scratch, bit for bit the out-of-place one
-    for s in (0.05, -0.05):
-        point = params - s * grad
-        assert probe(s) == nn.forward_loss(model, batch, point)
-        assert scratch.tobytes() == point.tobytes()
+    # the logits are affine along the ray: z0 - s*(x @ G + gb)
+    x = np.asarray(batch.inputs, dtype=np.float64)
+    W, G = (v[:12].reshape(4, 3) for v in (params, grad))
+    b, gb = params[12:], grad[12:]
+    z0, zg = x @ W + b, x @ G + gb
+    losses = {s: probe(s) for s in (0.05, -0.05)}
+    for s, loss in losses.items():
+        assert loss == nn.softmax_cross_entropy(z0 - s * zg, batch.labels)[0]
+        at_point = nn.forward_loss(model, batch, params - s * grad)
+        assert abs(loss - at_point) <= 1e-12 * abs(at_point)
     # the caller's vectors were never touched
     assert params.tobytes() == params_before.tobytes()
     assert grad.tobytes() == grad_before.tobytes()
+
+
+SMALL_MODELS = {  # (builder, per-sample input shape), three classes each
+    "logreg": (lambda: nn.build_logreg(4, 3), (4,)),
+    "mlp": (lambda: nn.build_mlp(4, 5, 3), (4,)),
+    "lenet5": (lambda: nn.build_lenet5((1, 28, 28), 3, (2, 3), (6, 5)), (1, 28, 28)),
+    "lenet5-conv-first": (lambda: nn.build_lenet5((3, 32, 32), 3, (2, 3), (6, 5)), (3, 32, 32)),
+}
+
+
+def gradient_step(name, n=4):
+    """A small model, its params, a batch and the gradient pass's gradient."""
+    build, input_shape = SMALL_MODELS[name]
+    model = build()
+    rng = Rng(47)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, n, input_shape, 3)
+    _, grad = nn.backward(model, batch, params)
+    return model, params, batch, grad
+
+
+@pytest.mark.parametrize("name", ["lenet5", "lenet5-conv-first"])
+def test_lenet5_probe_keeps_the_bits_of_a_forward_at_the_point(name):
+    model, params, batch, grad = gradient_step(name)
+    upto_conv1 = model.layers[: 2 if name == "lenet5" else 1]  # the zero pad, if any, and conv1
+
+    def refuse(x):
+        raise AssertionError("a probe reran the layers up to conv1")
+
+    for s in (0.05, -0.05):
+        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+        for layer in upto_conv1:
+            layer.forward = refuse
+        got = probe(s)
+        for layer in upto_conv1:
+            del layer.forward
+        assert got == nn.forward_loss(model, batch, params - s * grad)
+        _, grad = nn.backward(model, batch, params)  # the next probe follows a gradient pass
+
+
+@pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
+def test_probe_refuses_state_another_forward_left(name):
+    model, params, batch, grad = gradient_step(name)
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe(0.1)
+    nn.forward_loss(model, batch, params + 1.0)  # the first layer now keeps this pass's state
+    with pytest.raises(ValueError):
+        probe(0.1)
+    with pytest.raises(ValueError):  # nor may a probe be built on that state
+        nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+
+
+@pytest.mark.parametrize("name", ["logreg", "lenet5"])
+def test_probe_refuses_params_or_batch_other_than_the_gradient_pass(name):
+    # the first layer's kept state is the gradient pass's, at its own batch and params
+    model, params, batch, grad = gradient_step(name)
+    other_batch = toy_batch(Rng(48), len(batch.labels), SMALL_MODELS[name][1], 3)
+    for p, b in ((params.copy(), batch), (params, other_batch)):
+        with pytest.raises(ValueError):
+            nn.make_loss_probe(model, b, p, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    assert probe(0.05) == probe(0.05)
+
+
+def test_building_a_probe_allocates_nothing_batch_sized():
+    # a baseline run builds a probe every step and never calls it
+    model, params, batch, grad = gradient_step("lenet5", n=16)
+    cols_nbytes = 25 * 16 * 28 * 28 * 8  # conv1's columns: 1*5*5 rows of 16*28*28
+    scratch = np.empty_like(params)
+    tracemalloc.start()
+    try:
+        nn.make_loss_probe(model, batch, params, grad, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cols_nbytes
 
 
 def traced_peak(fn):
@@ -554,7 +633,8 @@ def test_probe_and_backward_allocate_no_parameter_sized_temporary():
     params = nn.init_params(model, rng)
     batch = toy_batch(rng, 2, (100,), 10)
     _, grad = nn.backward(model, batch, params)
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
     # a gradient pass allocates the gradient it returns, and nothing near its size
     assert traced_peak(lambda: nn.backward(model, batch, params)) / params.nbytes < 1.25
+    # built after the last gradient pass, whose state it starts from
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
     assert traced_peak(lambda: probe(0.05)) / params.nbytes < 0.25
