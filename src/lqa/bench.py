@@ -284,6 +284,8 @@ def emit_plot(csv_paths, path):
         pts = epoch_summaries(read_metrics(p))
         if not pts:
             raise ValueError(f"{p} has no records to plot")
+        if not all(math.isfinite(y) for _, y in pts):
+            raise ValueError(f"{p} has a non-finite epoch_loss")
         stem = os.path.splitext(os.path.basename(p))[0]
         series.append((stem, pts))
 
@@ -400,9 +402,6 @@ def check_quadratic_exactness():
     return worst
 
 
-_FD_STEP = 1e-5
-
-
 def _layer_fd_errors(model, params, x, rng):
     """FD-vs-analytic max relative error for a one-layer model (params and input)."""
     layer = model.layers[0]
@@ -416,7 +415,7 @@ def _layer_fd_errors(model, params, x, rng):
     layer.forward(x)
     dx = layer.backward(readout.copy())
     errs = [relative_error(dx, oracle.finite_diff_grad(
-        lambda v: loss_at(v.reshape(x.shape)), x.ravel(), _FD_STEP).reshape(x.shape))]
+        lambda v: loss_at(v.reshape(x.shape)), x.ravel()).reshape(x.shape))]
 
     if model.param_count:
         def loss_at_params(vec):
@@ -424,7 +423,7 @@ def _layer_fd_errors(model, params, x, rng):
             return loss_at(x)
 
         # the backward above filled grad; differencing runs forwards only
-        errs.append(relative_error(grad, oracle.finite_diff_grad(loss_at_params, params, _FD_STEP)))
+        errs.append(relative_error(grad, oracle.finite_diff_grad(loss_at_params, params)))
     return max(errs)
 
 
@@ -461,7 +460,7 @@ def check_gradient_correctness():
     labels = np.array([0, 3, 1, 2, 2])
     _, dlogits = nn.softmax_cross_entropy(logits, labels)
     fd = oracle.finite_diff_grad(
-        lambda v: nn.softmax_cross_entropy(v.reshape(5, 4), labels)[0], logits.ravel(), _FD_STEP
+        lambda v: nn.softmax_cross_entropy(v.reshape(5, 4), labels)[0], logits.ravel()
     )
     results["loss_head"] = relative_error(dlogits, fd.reshape(5, 4))
 
@@ -474,7 +473,7 @@ def check_gradient_correctness():
         params = nn.init_params(model, rng)
         batch = _toy_batch(rng, 6, in_shape, classes)
         _, analytic = nn.backward(model, batch, params)
-        fd = oracle.finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params, _FD_STEP)
+        fd = oracle.finite_diff_grad(lambda p: nn.forward_loss(model, batch, p), params)
         results[f"model_{name}"] = relative_error(analytic, fd)
     return results
 
@@ -546,7 +545,8 @@ def _build_parser():
     p_fetch = sub.add_parser("fetch", help="download and verify a dataset")
     p_fetch.add_argument("--dataset", choices=("mnist", "cifar10"), required=True)
     p_fetch.add_argument("--data-dir", default=None)
-    p_fetch.add_argument("--base-url", default=None, help="override the download location")
+    p_fetch.add_argument("--base-url", default=None,
+                         help="URL of the directory holding the dataset's archives")
 
     # a flag left out is left out of the namespace, so TrainConfig's default applies
     p_train = sub.add_parser("train", help="run one training configuration",
@@ -585,11 +585,10 @@ def cli_main(argv=None):
         if args.command == "fetch":
             base = args.data_dir or data_mod.default_data_dir()
             if args.dataset == "mnist":
-                kwargs = {"base_url": args.base_url} if args.base_url else {}
-                path = data_mod.fetch_mnist(os.path.join(base, "mnist"), **kwargs)
+                path = data_mod.fetch_mnist(os.path.join(base, "mnist"),
+                                            args.base_url or data_mod.MNIST_BASE_URL)
             else:
-                kwargs = {"url": args.base_url} if args.base_url else {}
-                path = data_mod.fetch_cifar10(base, **kwargs)
+                path = data_mod.fetch_cifar10(base, args.base_url or data_mod.CIFAR10_BASE_URL)
             print(f"dataset ready under {path}")
             return 0
 

@@ -7,9 +7,10 @@ training runs use, and keep its pixels as read-only uint8. Scaling to [0, 1]
 by /255 (and nothing else) happens per epoch: `epoch_batches` writes the
 permuted, scaled rows into one float64 buffer that the run allocates once, so
 a run holds one float64 copy of the split, not two.
-`fetch_mnist`/`fetch_cifar10` download and checksum-verify every archive,
-test split included, for machines that have network access; pre-downloaded
-files work the same way.
+`fetch_mnist` and `fetch_cifar10` download every archive, test split
+included, from `base_url`: the URL of the directory (a `file://` mirror too)
+that holds them under their published names. Each is checked against its
+pinned md5 (`MNIST_ARCHIVES`, `CIFAR10_MD5`); one already there is verified.
 """
 
 import gzip
@@ -54,7 +55,7 @@ MNIST_ARCHIVES = {
     "t10k-images-idx3-ubyte.gz": "9fb629c4189551a2d022fa330f9573f3",
     "t10k-labels-idx1-ubyte.gz": "ec29112dd5afa0611ce80d1b7f02629c",
 }
-CIFAR10_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
+CIFAR10_BASE_URL = "https://www.cs.toronto.edu/~kriz/"
 CIFAR10_MD5 = "c32a1d4ab5d03f1284b67883e8d87530"
 CIFAR10_DIRNAME = "cifar-10-batches-bin"
 _CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
@@ -307,9 +308,10 @@ def _save(src, path):
     os.replace(part, path)
 
 
-def _fetch_verified(url, path, md5):
-    """Download `url` to `path` unless it is there, then check its md5."""
+def _fetch_verified(base_url, path, md5):
+    """Download `path`'s file name from base_url unless it is there, then check its md5."""
     if not os.path.exists(path):
+        url = base_url.rstrip("/") + "/" + os.path.basename(path)
         with urllib.request.urlopen(url) as resp:
             _save(resp, path)
     got = _md5(path)
@@ -317,34 +319,36 @@ def _fetch_verified(url, path, md5):
         raise ValueError(f"checksum mismatch for {os.path.basename(path)}: {got} != {md5}")
 
 
-def fetch_mnist(directory, base_url=MNIST_BASE_URL, checksums=None):
+def fetch_mnist(directory, base_url=MNIST_BASE_URL):
     """Download (if needed), verify, and decompress the four MNIST archives.
 
-    Returns the directory holding the decompressed IDX files. Archives
-    already present are verified rather than re-downloaded.
+    Returns the directory holding the decompressed IDX files. An IDX file
+    already there is kept, and its archive is not read.
     """
-    checksums = MNIST_ARCHIVES if checksums is None else checksums
     os.makedirs(directory, exist_ok=True)
-    for name, md5 in checksums.items():
+    for name, md5 in MNIST_ARCHIVES.items():
         archive = os.path.join(directory, name)
         raw = archive[: -len(".gz")]
         if os.path.exists(raw):
             continue
-        _fetch_verified(base_url.rstrip("/") + "/" + name, archive, md5)
+        _fetch_verified(base_url, archive, md5)
         with gzip.open(archive, "rb") as src:
             _save(src, raw)
     return directory
 
 
-def fetch_cifar10(directory, url=CIFAR10_URL, md5=CIFAR10_MD5):
-    """Download (if needed), verify, and extract the CIFAR-10 binary archive."""
+def fetch_cifar10(directory, base_url=CIFAR10_BASE_URL):
+    """Download (if needed), verify, and extract cifar-10-binary.tar.gz.
+
+    Returns its batch directory, left as it is once it holds all six files.
+    """
     target = os.path.join(directory, CIFAR10_DIRNAME)
     os.makedirs(target, exist_ok=True)
     wanted = _CIFAR_TRAIN_FILES + ["test_batch.bin"]
     if all(os.path.exists(os.path.join(target, f)) for f in wanted):
         return target
-    archive = os.path.join(directory, os.path.basename(url))
-    _fetch_verified(url, archive, md5)
+    archive = os.path.join(directory, "cifar-10-binary.tar.gz")
+    _fetch_verified(base_url, archive, CIFAR10_MD5)
     with tarfile.open(archive, "r:gz") as tar:
         for member in tar.getmembers():
             base = os.path.basename(member.name)

@@ -56,25 +56,19 @@ __all__ = [
 class Layer:
     """One stage of a model. Model.bind sets params/grads.
 
-    backward(dout) fills the bound grads and returns the gradient with respect
-    to the last forward's input. The weighted layers, Dense and Conv2d, set
-    param_shapes and define fans(), the (fan_in, fan_out) of their weight
-    tensor that init_params reads. They also take `input_grad`: with False
-    they fill grads and return None, skipping the input gradient that nobody
-    reads below a model's first weighted layer. Their `ray(G, gb)` returns
-    f(s), the output on the last forward's input at that forward's weights
-    moved to W - s*G and b - s*gb, from what that forward kept; the loss probe
-    reads it.
+    Every layer defines forward(x) and backward(dout), which fills the bound
+    grads and returns the gradient with respect to the last forward's input.
+    The weighted layers, Dense and Conv2d, set param_shapes and define fans(),
+    the (fan_in, fan_out) of their weight tensor that init_params reads. They
+    also take `input_grad`: with False they fill grads and return None,
+    skipping the input gradient that nobody reads below a model's first
+    weighted layer. Their `ray(G, gb)` returns f(s), the output on the last
+    forward's input at that forward's weights moved to W - s*G and b - s*gb,
+    from what that forward kept; the loss probe reads it.
     """
 
     param_shapes = ()
     params = grads = ()
-
-    def forward(self, x):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
 
 
 class Dense(Layer):

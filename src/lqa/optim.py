@@ -40,7 +40,6 @@ from .tensor import NonFiniteError
 __all__ = [
     "Verdict",
     "LqaState",
-    "Baseline",
     "BASELINES",
     "lqa_step",
     "make_baseline",
@@ -63,7 +62,7 @@ def _check_grad(grad):
 BASELINES = ("sgd", "sgd-m", "sgd-nag", "adagrad", "rmsprop", "adam")
 
 
-class Baseline:
+class _Baseline:
     """One baseline optimizer: its rate and its accumulators between steps.
 
     Momentum mu, RMSProp decay rho, Adam's beta1/beta2 and eps are fixed at
@@ -144,7 +143,7 @@ class Baseline:
 
 def make_baseline(name, lr, dim):
     """A stateful in-place stepper for one of the six baseline optimizers."""
-    return Baseline(name, lr, dim)
+    return _Baseline(name, lr, dim)
 
 
 # ---------------------------------------------------------------------------

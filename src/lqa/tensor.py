@@ -1,10 +1,12 @@
 """The package's non-finite error and a deterministic, platform-independent random source.
 
-A "tensor" throughout this package is a C-contiguous ``numpy.ndarray`` of
-64-bit floats. 64-bit precision is not negotiable: the optimizer estimates a
-curvature coefficient from a central second difference of nearly equal loss
-values, and that difference is unusably noisy in 32 bits. NaN and Inf
-surface as NonFiniteError instead of propagating.
+A "tensor" throughout this package is a ``numpy.ndarray`` of 64-bit floats.
+Not every tensor is C-contiguous: Conv2d returns (n, c, h, w) views of
+channel-major (c, n, h, w) memory, and Relu and MaxPool2 keep that layout.
+64-bit precision is not negotiable: the optimizer estimates a curvature
+coefficient from a central second difference of nearly equal loss values,
+and that difference is unusably noisy in 32 bits. NaN and Inf surface as
+NonFiniteError instead of propagating.
 """
 
 import numpy as np

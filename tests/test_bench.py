@@ -1,6 +1,7 @@
 import gzip
 import math
 import os
+import shutil
 import struct
 import tracemalloc
 
@@ -703,6 +704,29 @@ def test_cli_fetch_mnist_offline(tmp_path, monkeypatch):
     assert os.path.exists(dest / "mnist" / "train-images-idx3-ubyte")
 
 
+def test_cli_fetch_cifar10_offline(tmp_path, monkeypatch):
+    import hashlib
+    import tarfile
+
+    src = make_tiny_cifar(tmp_path / "src", per_file=4)
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    archive = mirror / "cifar-10-binary.tar.gz"
+    with tarfile.open(archive, "w:gz") as tar:
+        tar.add(src / "cifar-10-batches-bin", arcname="cifar-10-batches-bin")
+    monkeypatch.setattr(bench.data_mod, "CIFAR10_MD5", hashlib.md5(archive.read_bytes()).hexdigest())
+    dest = tmp_path / "dest"
+    # --base-url names the directory holding the archive, trailing slash or not
+    for base_url in (mirror.as_uri() + "/", mirror.as_uri()):
+        code = bench.cli_main(
+            ["fetch", "--dataset", "cifar10", "--data-dir", str(dest), "--base-url", base_url]
+        )
+        assert code == 0
+        (train,) = data.load_cifar10(dest)
+        assert train.n == 5 * 4
+        shutil.rmtree(dest)
+
+
 # --- malformed inputs: every damaged file ends in exit 0, or in 1 and `error:` ---
 
 
@@ -785,3 +809,11 @@ def test_cli_plot_ends_cleanly_on_damaged_csvs(tmp_path, capsys):
     for case, damaged in cases:
         path.write_text(damaged)
         assert_ends_cleanly(capsys, argv, case)
+    # each row ends its epoch; a non-finite epoch_loss (column 3) has no place on the chart
+    for r in range(1, len(rows)):
+        for bad in ("inf", "-inf", "nan"):
+            cells = rows[r].rstrip("\r\n").split(",")
+            cells[3] = bad
+            path.write_text("".join([*rows[:r], ",".join(cells) + "\n", *rows[r + 1 :]]))
+            assert bench.cli_main(argv) == 1, (r, bad)
+            assert f"error: {path} has a non-finite epoch_loss" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import inspect
 import os
 import shutil
 import struct
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lqa import data
 from lqa.data import (
     Batch,
     Dataset,
@@ -373,6 +375,12 @@ def test_synthetic_quadratic_dim_one():
     assert q.A.shape == (1, 1) and q.A[0, 0] > 0.0
 
 
+@pytest.mark.parametrize("dim", [0, -3])
+def test_synthetic_quadratic_rejects_dim_below_one(dim):
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        synthetic_quadratic(dim, 4)
+
+
 def test_synthetic_quadratic_seed_deterministic():
     a = synthetic_quadratic(4, 9)
     b = synthetic_quadratic(4, 9)
@@ -384,8 +392,9 @@ def test_synthetic_quadratic_seed_deterministic():
 # --- fetch (exercised offline through file:// URLs) -----------------------------
 
 
-def make_mnist_archives(tmp_path):
-    """make_mnist_dir's four files gzipped under tmp_path/archives, with their md5s."""
+def make_mnist_archives(tmp_path, monkeypatch):
+    """make_mnist_dir's four files gzipped under tmp_path/archives, their md5s
+    pinned as fetch_mnist's MNIST_ARCHIVES for the test."""
     src_dir, _ = make_mnist_dir(tmp_path / "src")
     archive_dir = tmp_path / "archives"
     archive_dir.mkdir()
@@ -395,20 +404,26 @@ def make_mnist_archives(tmp_path):
         with open(src_dir / name, "rb") as f_in, gzip.open(archive_dir / gz_name, "wb") as f_out:
             f_out.write(f_in.read())
         checksums[gz_name] = hashlib.md5((archive_dir / gz_name).read_bytes()).hexdigest()
-    return archive_dir, checksums
+    monkeypatch.setattr(data, "MNIST_ARCHIVES", checksums)
+    return archive_dir
 
 
-def make_cifar_archive(tmp_path):
-    """make_cifar_dir's six files in a cifar-10-binary.tar.gz, with its md5."""
+def make_cifar_archive(tmp_path, monkeypatch):
+    """make_cifar_dir's six files in tmp_path/mirror/cifar-10-binary.tar.gz, its
+    md5 pinned as fetch_cifar10's CIFAR10_MD5 for the test; returns the mirror."""
     base, _ = make_cifar_dir(tmp_path / "src")
-    tar_path = tmp_path / "cifar-10-binary.tar.gz"
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    tar_path = mirror / "cifar-10-binary.tar.gz"
     with tarfile.open(tar_path, "w:gz") as tar:
         tar.add(base / "cifar-10-batches-bin", arcname="cifar-10-batches-bin")
-    return tar_path, hashlib.md5(tar_path.read_bytes()).hexdigest()
+    monkeypatch.setattr(data, "CIFAR10_MD5", hashlib.md5(tar_path.read_bytes()).hexdigest())
+    return mirror
 
 
 def interrupt_copy(monkeypatch, n):
-    """Stop the n-th file copy with KeyboardInterrupt after it wrote 8 bytes."""
+    """Stop the n-th file copy with KeyboardInterrupt after it wrote 8 bytes;
+    later copies run whole."""
     real, calls = shutil.copyfileobj, []
 
     def copy(src, dst, *args):
@@ -421,62 +436,91 @@ def interrupt_copy(monkeypatch, n):
     monkeypatch.setattr(shutil, "copyfileobj", copy)
 
 
-def test_fetch_mnist_verifies_and_decompresses(tmp_path):
-    archive_dir, checksums = make_mnist_archives(tmp_path)
+def test_fetchers_take_a_directory_url_and_nothing_else():
+    for fetch, default in ((fetch_mnist, data.MNIST_BASE_URL), (fetch_cifar10, data.CIFAR10_BASE_URL)):
+        params = inspect.signature(fetch).parameters
+        assert list(params) == ["directory", "base_url"]
+        assert params["base_url"].default == default
+
+
+def test_fetch_mnist_verifies_and_decompresses(tmp_path, monkeypatch):
+    archive_dir = make_mnist_archives(tmp_path, monkeypatch)
     dest = tmp_path / "dest"
-    fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
+    fetch_mnist(str(dest), base_url=archive_dir.as_uri())
     (train,) = load_mnist(dest)
     assert train.n == 96
     # fetch still decompresses the test split the loader does not read
     assert len(read_idx_labels(dest / "t10k-labels-idx1-ubyte")) == 32
 
 
-def test_fetch_mnist_checksum_mismatch(tmp_path):
-    archive_dir, checksums = make_mnist_archives(tmp_path)
-    checksums = dict.fromkeys(checksums, "0" * 32)
+def test_fetch_mnist_checksum_mismatch(tmp_path, monkeypatch):
+    archive_dir = make_mnist_archives(tmp_path, monkeypatch)
+    monkeypatch.setattr(data, "MNIST_ARCHIVES", dict.fromkeys(data.MNIST_ARCHIVES, "0" * 32))
     with pytest.raises(ValueError, match="checksum"):
-        fetch_mnist(str(tmp_path / "dest"), base_url=archive_dir.as_uri(), checksums=checksums)
+        fetch_mnist(str(tmp_path / "dest"), base_url=archive_dir.as_uri())
 
 
 @pytest.mark.parametrize("cut", [1, 2], ids=["download", "decompression"])
 def test_fetch_mnist_interrupted_leaves_no_file_under_its_final_name(tmp_path, monkeypatch, cut):
-    archive_dir, checksums = make_mnist_archives(tmp_path)
+    archive_dir = make_mnist_archives(tmp_path, monkeypatch)
     dest = tmp_path / "dest"
-    first = next(iter(checksums))  # the archive fetch_mnist takes first
+    first = next(iter(data.MNIST_ARCHIVES))  # the archive fetch_mnist takes first
     interrupt_copy(monkeypatch, cut)
     with pytest.raises(KeyboardInterrupt):
-        fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
+        fetch_mnist(str(dest), base_url=archive_dir.as_uri())
     left = [first + ".part"] if cut == 1 else [first, first[: -len(".gz")] + ".part"]
     assert sorted(os.listdir(dest)) == sorted(left)
-    monkeypatch.undo()
-    fetch_mnist(str(dest), base_url=archive_dir.as_uri(), checksums=checksums)
+    fetch_mnist(str(dest), base_url=archive_dir.as_uri())
     assert load_mnist(dest)[0].n == 96
     assert not [name for name in os.listdir(dest) if name.endswith(".part")]
 
 
-def test_fetch_cifar10_extracts_expected_members(tmp_path):
-    tar_path, md5 = make_cifar_archive(tmp_path)
+def test_fetch_mnist_keeps_files_already_decompressed(tmp_path, monkeypatch):
+    archive_dir = make_mnist_archives(tmp_path, monkeypatch)
     dest = tmp_path / "dest"
-    out = fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
+    fetch_mnist(str(dest), base_url=archive_dir.as_uri())
+    # with every IDX file there, no archive is fetched or even read
+    for name in os.listdir(dest):
+        if name.endswith(".gz"):
+            (dest / name).unlink()
+    fetch_mnist(str(dest), base_url=(tmp_path / "nowhere").as_uri())
+    assert load_mnist(dest)[0].n == 96
+    assert not [name for name in os.listdir(dest) if name.endswith(".gz")]
+
+
+def test_fetch_cifar10_extracts_expected_members(tmp_path, monkeypatch):
+    mirror = make_cifar_archive(tmp_path, monkeypatch)
+    dest = tmp_path / "dest"
+    out = fetch_cifar10(str(dest), base_url=mirror.as_uri())
     (train,) = load_cifar10(out)
     assert train.n == 35
     assert os.path.getsize(os.path.join(out, "test_batch.bin")) == 7 * 3073
 
 
+def test_fetch_cifar10_keeps_a_complete_batch_directory(tmp_path, monkeypatch):
+    mirror = make_cifar_archive(tmp_path, monkeypatch)
+    dest = tmp_path / "dest"
+    out = fetch_cifar10(str(dest), base_url=mirror.as_uri())
+    (dest / "cifar-10-binary.tar.gz").unlink()
+    # all six batch files are there, so nothing is fetched
+    assert fetch_cifar10(str(dest), base_url=(tmp_path / "nowhere").as_uri()) == out
+    assert load_cifar10(out)[0].n == 35
+    assert sorted(os.listdir(dest)) == ["cifar-10-batches-bin"]
+
+
 @pytest.mark.parametrize("cut", [1, 2], ids=["download", "extraction"])
 def test_fetch_cifar10_interrupted_leaves_no_file_under_its_final_name(tmp_path, monkeypatch, cut):
-    tar_path, md5 = make_cifar_archive(tmp_path)
+    mirror = make_cifar_archive(tmp_path, monkeypatch)
     dest = tmp_path / "dest"
     interrupt_copy(monkeypatch, cut)
     with pytest.raises(KeyboardInterrupt):
-        fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
+        fetch_cifar10(str(dest), base_url=mirror.as_uri())
     if cut == 1:
         assert sorted(os.listdir(dest)) == ["cifar-10-batches-bin", "cifar-10-binary.tar.gz.part"]
     else:
         # the archive adds its members in sorted order
         assert os.listdir(dest / "cifar-10-batches-bin") == ["data_batch_1.bin.part"]
-    monkeypatch.undo()
-    out = fetch_cifar10(str(dest), url=tar_path.as_uri(), md5=md5)
+    out = fetch_cifar10(str(dest), base_url=mirror.as_uri())
     assert load_cifar10(out)[0].n == 35
     assert not [name for name in os.listdir(out) if name.endswith(".part")]
 

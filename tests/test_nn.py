@@ -89,6 +89,23 @@ def test_param_length_mismatch_rejected():
         model.bind(np.zeros(model.param_count), np.zeros(3))
 
 
+def test_conv_rejects_wrong_channels_and_inputs_smaller_than_its_kernel():
+    layer = nn.Conv2d(2, 3, 3)
+    nn.Model([layer], (2, 5, 5)).bind(np.zeros(3 * 2 * 3 * 3 + 3))
+    with pytest.raises(ValueError, match="expected 2 input channels, got 1"):
+        layer.forward(np.zeros((1, 1, 5, 5)))
+    for h, w in ((2, 5), (5, 2)):
+        with pytest.raises(ValueError, match=f"input {h}x{w} smaller than kernel 3x3"):
+            layer.forward(np.zeros((1, 2, h, w)))
+    assert layer.forward(np.zeros((1, 2, 3, 3))).shape == (1, 3, 1, 1)
+
+
+@pytest.mark.parametrize("h, w", [(3, 4), (4, 5), (1, 1)])
+def test_maxpool_rejects_odd_extents(h, w):
+    with pytest.raises(ValueError, match=f"even spatial extents, got {h}x{w}"):
+        nn.MaxPool2().forward(np.zeros((1, 1, h, w)))
+
+
 # --- backward --------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from lqa.oracle import (
     quad_optimal_step,
     ray_probe,
 )
-from lqa.tensor import Rng, rng_uniform
+from lqa.tensor import NonFiniteError, Rng, rng_uniform
 
 
 def test_rejects_asymmetric_matrix():
@@ -20,6 +20,22 @@ def test_rejects_asymmetric_matrix():
 def test_rejects_indefinite_matrix():
     with pytest.raises(ValueError, match="positive definite"):
         QuadraticObjective(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+
+
+def test_rejects_misshapen_objective():
+    with pytest.raises(ValueError, match="square"):
+        QuadraticObjective(np.eye(3)[:2], np.zeros(2))
+    with pytest.raises(ValueError, match="square"):
+        QuadraticObjective(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"c must have shape \(2,\)"):
+        QuadraticObjective(np.eye(2), np.zeros(3))
+
+
+def test_loss_grad_rejects_misshapen_theta():
+    q = QuadraticObjective(np.eye(2), np.zeros(2))
+    for theta in (np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match=r"theta must have shape \(2,\)"):
+            quad_loss_grad(q, theta)
 
 
 def test_loss_grad_identity_hessian():
@@ -118,4 +134,12 @@ def test_finite_diff_checker_validates_oracle_itself():
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_grad(lambda t: 0.0, np.zeros(2), h=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_finite_diff_rejects_a_non_finite_loss(bad):
+    # the loss is finite at theta but not one step up coordinate 1
+    loss = lambda t: bad if t[1] > 0.0 else 0.0
+    with pytest.raises(NonFiniteError, match="coordinate 1"):
+        finite_diff_grad(loss, np.zeros(3))
 

@@ -65,6 +65,14 @@ def test_rng_uniform_rejects_bad_bounds():
         rng_uniform(Rng(0), (4,), 1.0, 1.0)
 
 
+def test_next_uint64_rejects_a_negative_count():
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.next_uint64(-1)
+    # the refused call drew nothing
+    assert np.array_equal(rng.next_uint64(2), Rng(0).next_uint64(2))
+
+
 def test_permutation_is_a_permutation():
     perm = Rng(9).permutation(1000)
     assert np.array_equal(np.sort(perm), np.arange(1000))
