@@ -1,14 +1,19 @@
-"""Fixed-clock CSV gate: the sha256 of 28 short training runs.
+"""Fixed-clock CSV gate: the sha256 of 35 short training runs.
 
     PYTHONPATH=src python scripts/csv_gate.py [--check scripts/csv_gate.sha256]
 
 For a fixed config and seed the metrics CSV is the program's behaviour, so a
 change that must not alter behaviour keeps every hash. The gate writes a
-320-image MNIST-shaped train split drawn from numpy.random.default_rng(123),
-then runs {logreg, mlp, lenet5, synthetic-quadratic} x the seven optimizers
-for 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a fixed clock
-and prints one `model-optimizer sha256` line per run. With --check FILE it
-compares against FILE, names each mismatch and exits 1 if there is one.
+320-image MNIST-shaped train split drawn from numpy.random.default_rng(123)
+and runs {logreg, mlp, lenet5, synthetic-quadratic} x the seven optimizers
+on it. It also runs logreg with the seven optimizers on a second, 3,000-image
+split drawn from default_rng(3000), named `logreg3000`: its 46 batches per
+epoch are drawn in chunks of 20, 20 and 6 batches, so those runs cross chunk
+boundaries, where the 320-image split's five batches are one chunk. Every
+run takes 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a
+fixed clock, and the gate prints one `name-optimizer sha256` line per run.
+With --check FILE it compares against FILE, names each mismatch and exits 1
+if there is one.
 
 The bytes depend on the BLAS build: csv_gate.sha256 holds the hashes from
 numpy 2.4.6 with scipy-openblas 0.3.31 on one thread. That is why the gate is
@@ -33,39 +38,50 @@ from lqa import bench, data
 MODELS = ("logreg", "mlp", "lenet5", "synthetic-quadratic")
 
 
-def write_inputs(base):
-    """The gate's train split under base/mnist, the only split a run reads."""
-    rng = np.random.default_rng(123)
-    directory = os.path.join(base, "mnist")
+# the second split's directory under the gate's base, and the name of its runs
+LARGE = "logreg3000"
+
+
+def write_split(directory, count, seed):
+    """A `count`-image train split drawn from default_rng(seed), under directory/mnist."""
+    rng = np.random.default_rng(seed)
+    directory = os.path.join(directory, "mnist")
     os.makedirs(directory)
-    images = rng.integers(0, 256, size=(320, 28, 28), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=320, dtype=np.uint8)
+    images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=count, dtype=np.uint8)
     data.write_idx_images(os.path.join(directory, "train-images-idx3-ubyte"), images)
     data.write_idx_labels(os.path.join(directory, "train-labels-idx1-ubyte"), labels)
 
 
+def write_inputs(base):
+    """The gate's two train splits, the only files a run reads."""
+    write_split(base, 320, 123)
+    write_split(os.path.join(base, LARGE), 3000, 3000)
+
+
 def gate_hashes(base):
-    """{"model-optimizer": sha256 of that run's fixed-clock CSV}."""
+    """{"name-optimizer": sha256 of that run's fixed-clock CSV}."""
+    runs = [(model, model, base) for model in MODELS] + [(LARGE, "logreg", os.path.join(base, LARGE))]
     hashes = {}
-    for model in MODELS:
+    for name, model, data_dir in runs:
         for optimizer in bench.OPTIMIZERS:
             if model == "synthetic-quadratic":
                 where = dict(dataset=model)
             else:
-                where = dict(model=model, dataset="mnist", data_dir=base)
-            out = os.path.join(base, f"{model}-{optimizer}.csv")
+                where = dict(model=model, dataset="mnist", data_dir=data_dir)
+            out = os.path.join(base, f"{name}-{optimizer}.csv")
             config = bench.TrainConfig(
                 optimizer=optimizer, lr=None if optimizer == "lqa" else 0.01,
                 epochs=2, batch_size=64, seed=7, out=out, **where,
             )
             bench.run_training(config, clock=lambda: 0.0)
             with open(out, "rb") as f:
-                hashes[f"{model}-{optimizer}"] = hashlib.sha256(f.read()).hexdigest()
+                hashes[f"{name}-{optimizer}"] = hashlib.sha256(f.read()).hexdigest()
     return hashes
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="sha256 of 28 fixed-clock training CSVs")
+    parser = argparse.ArgumentParser(description="sha256 of 35 fixed-clock training CSVs")
     parser.add_argument("--check", metavar="FILE", help="expected `name sha256` lines")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as base:

@@ -16,6 +16,7 @@ layer from the gradient pass's state), so the count overstates its cost.
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -45,6 +46,8 @@ DATASETS = ("mnist", "cifar10", "synthetic-quadratic")
 OPTIMIZERS = (*optim.BASELINES, "lqa")
 # the synthetic quadratic objective's dimension
 QUAD_DIM = 10
+# bytes of float64 inputs a run scales at a time (8 MB: 20 MNIST batches of 64)
+CHUNK_BYTES = 8 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,14 +106,15 @@ CSV_HEADER = ",".join(f.name for f in fields(MetricRecord))
 def _setup(config, rng):
     """(params, epoch, evaluate) for one run of `config`.
 
-    params is the initial vector, owned by the caller; epoch() returns one
-    epoch's batches; evaluate(batch, params) returns the batch loss, its
-    gradient and probe(s), the loss at params - s*grad. Each probe call counts
-    as one forward pass; the run loop counts the calls. A model run allocates
-    one scratch vector of params' shape, which every probe of every step
-    writes its point into, so probing allocates no parameter-sized vector,
-    and one float64 buffer of (N//n)*n input rows, which every epoch's
-    batches are views of.
+    params is the initial vector, owned by the caller; epoch() returns an
+    iterable of one epoch's batches; evaluate(batch, params) returns the
+    batch loss, its gradient and probe(s), the loss at params - s*grad. Each
+    probe call counts as one forward pass; the run loop counts the calls. A
+    model run allocates one scratch vector of params' shape, which every probe
+    of every step writes its point into, so probing allocates no
+    parameter-sized vector, and one float64 buffer of a whole number of
+    batches, at most CHUNK_BYTES unless one batch is larger, and none when
+    N < n. epoch_batches scales each chunk of every epoch's batches into it.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))
@@ -142,10 +146,13 @@ def _setup(config, rng):
         model = nn.build_lenet5(image_shape, 10)
     params = nn.init_params(model, rng, config.init)
     scratch = np.empty_like(params)
-    # one buffer for every epoch: a fresh one per epoch would coexist with the
-    # last epoch's, which Dense._x and the last probe keep alive
+    # one buffer for every chunk of every epoch: a fresh one per chunk would
+    # coexist with the last chunk's, which Dense._x and the last probe keep
+    # alive. It holds the whole epoch when that fits in CHUNK_BYTES.
     n = config.batch_size
-    epoch_inputs = np.empty((train.n // n * n, *train.inputs.shape[1:]))
+    batch_bytes = n * math.prod(train.inputs.shape[1:]) * 8
+    chunk = min(train.n // n, max(1, CHUNK_BYTES // batch_bytes))
+    epoch_inputs = np.empty((chunk * n, *train.inputs.shape[1:]))
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
@@ -163,9 +170,10 @@ def run_training(config, clock=time.perf_counter, log=None):
     Each step evaluates the batch loss, gradient and loss probe, then updates
     the run's own parameter vector in place with the configured optimizer.
     The CSV is written to config.out (when set) header-only before the first
-    step, so an unwritable path fails at once, and again however the run ends,
-    so a run that finishes, diverges or is interrupted keeps every row it
-    recorded.
+    step, so an unwritable path fails at once. Each epoch's rows are appended
+    when the epoch ends, before `log` hears of it, so a killed run keeps every
+    finished epoch; the rows of an epoch cut short by divergence or Ctrl-C
+    are appended however the run ends.
     """
     config.validate()
     params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)))
@@ -177,6 +185,7 @@ def run_training(config, clock=time.perf_counter, log=None):
         stepper = optim.make_baseline(config.optimizer, config.lr, params.size)
     probes = []  # one entry per probe lqa_step makes, each one more forward pass
     records = []
+    written = 0  # how many of the records are in config.out
     t0 = clock()
     try:
         for epoch in range(1, config.epochs + 1):
@@ -209,14 +218,17 @@ def run_training(config, clock=time.perf_counter, log=None):
                         wall_time_s=clock() - t0,
                     )
                 )
+            if config.out:
+                emit_csv(records[written:], config.out, append=True)
+                written = len(records)
             if log is not None:
                 last = records[-1]
                 log(f"epoch {epoch}/{config.epochs}  loss {last.epoch_loss:.6f}  lr {last.lr_used:.6g}")
     except NonFiniteError as exc:
         raise TrainingDiverged(str(exc)) from exc
     finally:
-        if config.out:
-            emit_csv(records, config.out)
+        if config.out and written < len(records):
+            emit_csv(records[written:], config.out, append=True)
     return records
 
 
@@ -225,32 +237,42 @@ def run_training(config, clock=time.perf_counter, log=None):
 # ---------------------------------------------------------------------------
 
 
-def emit_csv(records, path):
-    """Write records, one column per MetricRecord field; floats keep 17 significant digits."""
+def emit_csv(records, path, append=False):
+    """Write records, one column per MetricRecord field; floats keep 17 significant digits.
+
+    With append, the rows go after those already in path, without a header.
+    The file is closed, and so flushed, before this returns.
+    """
     columns = [(c.name, c.type is float) for c in fields(MetricRecord)]
-    with open(path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
+    with open(path, "a" if append else "w", newline="") as f:
+        if not append:
+            f.write(CSV_HEADER + "\n")
         for r in records:
             f.write(",".join([format(float(getattr(r, name)), ".17g") if is_float
                               else str(getattr(r, name)) for name, is_float in columns]) + "\n")
 
 
 def read_metrics(path):
-    """Parse a metrics CSV back into records; raises ValueError on schema drift."""
+    """Parse a metrics CSV back into records.
+
+    Raises ValueError on schema drift, and on a last line without its newline:
+    what a write cut short by a kill leaves, whose last number may be cut too.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"{path} does not match the metrics schema")
-        columns = fields(MetricRecord)
-        records = []
-        for row in reader:
-            if len(row) != len(columns):
-                raise ValueError(f"{path}: expected {len(columns)} columns, got {len(row)}")
-            records.append(MetricRecord(*(c.type(cell) for c, cell in zip(columns, row))))
+        text = f.read()
+    if not text:
+        raise ValueError(f"{path} is empty")
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}: the last line has no newline, so it may be cut short")
+    reader = csv.reader(io.StringIO(text))
+    if next(reader) != CSV_HEADER.split(","):
+        raise ValueError(f"{path} does not match the metrics schema")
+    columns = fields(MetricRecord)
+    records = []
+    for row in reader:
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: expected {len(columns)} columns, got {len(row)}")
+        records.append(MetricRecord(*(c.type(cell) for c, cell in zip(columns, row))))
     return records
 
 

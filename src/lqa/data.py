@@ -4,9 +4,10 @@ MNIST ships as big-endian IDX files (magic 2051 for images, 2049 for labels),
 CIFAR-10 as flat binary batches of 3073-byte records (label byte, then 3072
 channel-planar pixel bytes). Both loaders read the train split only, the one
 training runs use, and keep its pixels as read-only uint8. Scaling to [0, 1]
-by /255 (and nothing else) happens per epoch: `epoch_batches` writes the
-permuted, scaled rows into one float64 buffer that the run allocates once, so
-a run holds one float64 copy of the split, not two.
+by /255 (and nothing else) happens as an epoch is drawn: `epoch_batches`
+writes the permuted, scaled rows of a chunk of batches into a float64 buffer
+that the run allocates once and sizes to a few MB, so a run holds no float64
+copy of the split.
 `fetch_mnist` and `fetch_cifar10` download every archive, test split
 included, from `base_url`: the URL of the directory (a `file://` mirror too)
 that holds them under their published names. Each is checked against its
@@ -176,8 +177,8 @@ def _find_idx(directory, stem):
 def _dataset(images, labels):
     """A 10-class Dataset of the uint8 images as loaded, inputs and labels read-only.
 
-    Nothing is scaled here; epoch_batches divides by 255 per epoch, into the
-    run's float64 buffer.
+    Nothing is scaled here; epoch_batches divides by 255 one chunk of
+    batches at a time, into the run's float64 buffer.
     """
     dataset = Dataset(images, labels.astype(np.int64), 10)
     dataset.inputs.flags.writeable = False
@@ -237,27 +238,42 @@ def load_cifar10(directory):
 
 
 def epoch_batches(dataset, n, rng, out):
-    """One epoch's batches: a fresh seeded permutation chunked into K = N//n
-    full batches; the remainder is dropped so every batch has exactly n samples.
+    """An iterator over one epoch's batches: a fresh seeded permutation cut
+    into K = N//n full batches; the remainder is dropped so every batch has
+    exactly n samples.
 
-    Batch i's inputs are out[i*n:(i+1)*n], written as its permuted uint8 rows
-    divided by 255.0 (the same bits as astype(float64) / 255.0). `out` is the
-    caller's float64 buffer of K*n rows shaped like the inputs' rows; every
-    epoch of a run reuses it, so a batch's inputs are valid only until the
-    next call.
+    Batch i's inputs are its permuted uint8 rows divided by 255.0 (the same
+    bits as astype(float64) / 255.0), written into `out`: the caller's
+    float64 buffer, shaped like the inputs' rows, whose row count is a
+    positive multiple of n. The epoch is drawn one chunk of len(out) // n
+    batches at a time (the last chunk may be shorter), with one gather and
+    one division per chunk, just before the chunk's first batch is yielded.
+    A batch's inputs are a view of `out`, valid until the next chunk is
+    drawn, or the next epoch's first. The sizes are checked and the
+    permutation is drawn when this is called, not when the iteration starts.
     """
     if n < 1:
         raise ValueError("batch size must be at least 1")
     if n > dataset.n:
         raise ValueError(f"batch size {n} exceeds dataset size {dataset.n}")
+    if len(out) < n or len(out) % n:
+        raise ValueError(f"a buffer of {len(out)} rows holds no whole number of {n}-sample batches")
     perm = rng.permutation(dataset.n)
-    k = dataset.n // n
-    batches = []
-    for i in range(k):
-        idx = perm[i * n : (i + 1) * n]
-        inputs = np.divide(dataset.inputs[idx], 255.0, out=out[i * n : (i + 1) * n])
-        batches.append(Batch(idx, inputs, dataset.labels[idx]))
-    return batches
+    return _draw(dataset, n, perm[: dataset.n // n * n], out)
+
+
+def _draw(dataset, n, perm, out):
+    """The batches of `perm`, scaled one chunk of len(out) rows at a time.
+
+    A generator apart from epoch_batches, whose checks and permutation would
+    otherwise wait for the first batch to be drawn.
+    """
+    for lo in range(0, len(perm), len(out)):
+        ids = perm[lo : lo + len(out)]
+        chunk = np.divide(dataset.inputs[ids], 255.0, out=out[: len(ids)])
+        for i in range(0, len(ids), n):
+            idx = ids[i : i + n]
+            yield Batch(idx, chunk[i : i + n], dataset.labels[idx])
 
 
 def synthetic_quadratic(dim, seed):

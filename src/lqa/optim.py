@@ -80,15 +80,15 @@ class _Baseline:
             raise ValueError("lr must be finite and non-negative")
         self.name = name
         self.lr = lr
-        # velocity (momentum), sum or mean of squares (AdaGrad, RMSProp), first moment (Adam)
+        # velocity (momentum), sum or mean of squares (AdaGrad, RMSProp), first
+        # moment (Adam, scaled by 1 / (1 - beta1); its v by 1 / (1 - beta2))
         self.acc = None if name == "sgd" else np.zeros(dim, dtype=np.float64)
         if name == "adam":
             self.v = np.zeros(dim, dtype=np.float64)
             self.t = 0
             # one block of scratch for Adam's update, which would otherwise
-            # allocate several temporaries per block
+            # allocate temporaries per block
             self._work = np.empty(min(dim, BLOCK), dtype=np.float64)
-            self._denom = np.empty(min(dim, BLOCK), dtype=np.float64)
 
     def step(self, params, grad):
         """Update `params` in place from `grad` and return `params` itself.
@@ -102,6 +102,9 @@ class _Baseline:
             b1, b2 = self.beta1, self.beta2
             self.t += 1
             c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+            # the moments' scale and both bias corrections, folded into two scalars
+            scale = math.sqrt(c2 / (1.0 - b2))
+            lr_t, eps_hat = lr * (1.0 - b1) / c1 * scale, self.eps * scale
         for lo in range(0, params.size, BLOCK):
             s = slice(lo, lo + BLOCK)
             p, g = params[s], grad[s]
@@ -120,23 +123,19 @@ class _Baseline:
                 acc += (1.0 - self.rho) * g * g
                 p -= lr * g / (np.sqrt(acc) + self.eps)
             else:
-                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-                # params -= lr*m_hat / (sqrt(v_hat) + eps), each operation in
-                # that order so the result is bitwise that of the out-of-place form
-                v, work, denom = self.v[s], self._work[: p.size], self._denom[: p.size]
+                # Kingma & Ba's params -= lr*m_hat / (sqrt(v_hat) + eps) in ten
+                # passes: acc = m/(1-b1) and v/(1-b2) accumulate g and g*g
+                # unweighted, and the bias corrections live in lr_t and eps_hat
+                v, work = self.v[s], self._work[: p.size]
                 acc *= b1
-                np.multiply(1.0 - b1, g, out=work)
-                acc += work
+                acc += g
                 v *= b2
-                np.multiply(1.0 - b2, g, out=work)
-                work *= g
+                np.multiply(g, g, out=work)
                 v += work
-                np.divide(acc, c1, out=work)
-                work *= lr
-                np.divide(v, c2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += self.eps
-                work /= denom
+                np.sqrt(v, out=work)
+                work += eps_hat
+                np.divide(acc, work, out=work)
+                work *= lr_t
                 p -= work
         return params
 

@@ -2,7 +2,10 @@ import gzip
 import math
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -183,6 +186,47 @@ def test_interrupted_run_reraises_and_keeps_its_rows(tmp_path):
     assert len(read_metrics(out)) == 2
 
 
+# a run that SIGKILLs itself from `log` after epoch `kill_after` (argv: kill_after data_dir out)
+KILLED_RUN = """
+import os, signal, sys
+from lqa import bench
+
+kill_after, data_dir, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+epochs = []
+
+def log(message):
+    epochs.append(message)
+    if len(epochs) == kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+bench.run_training(bench.TrainConfig(
+    model="logreg", dataset="mnist", optimizer="lqa", epochs=4, batch_size=64, seed=4,
+    data_dir=data_dir, out=out,
+), clock=lambda: 0.0, log=log)
+"""
+
+
+@pytest.mark.parametrize("kill_after", [1, 3])
+def test_killed_run_keeps_every_finished_epoch(tmp_path, kill_after):
+    data_dir = make_tiny_mnist(tmp_path)
+    whole = tmp_path / "whole.csv"
+    run_training(TrainConfig(
+        model="logreg", dataset="mnist", optimizer="lqa", epochs=4, batch_size=64, seed=4,
+        data_dir=str(data_dir), out=str(whole),
+    ), clock=FIXED_CLOCK)
+    killed = tmp_path / "killed.csv"
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", KILLED_RUN, str(kill_after), str(data_dir), str(killed)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    # the header, then 192 // 64 = 3 rows per finished epoch
+    lines = whole.read_bytes().splitlines(keepends=True)
+    assert killed.read_bytes() == b"".join(lines[: 1 + 3 * kill_after])
+    assert len(read_metrics(killed)) == 3 * kill_after
+
+
 def test_unwritable_out_fails_before_the_first_step(tmp_path):
     calls = []
 
@@ -328,6 +372,57 @@ def test_batch_larger_than_the_set_fails_before_a_buffer_is_allocated(tmp_path):
     assert peak < 192 * 28 * 28 * 8
 
 
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_chunked_epochs_write_the_csv_of_whole_epoch_chunks(tmp_path, monkeypatch, chunk):
+    # 192 images, batch 16: 12 batches per epoch, drawn in chunks of 1, or
+    # of 5, 5 and 2, against one chunk of all 12
+    data_dir = make_tiny_mnist(tmp_path)
+    rows = []
+    real_backward = nn.backward
+
+    def spying_backward(model, batch, params):
+        rows.append(len(batch.inputs.base))
+        return real_backward(model, batch, params)
+
+    monkeypatch.setattr(nn, "backward", spying_backward)
+    csvs = {}
+    for batches in (12, chunk):
+        monkeypatch.setattr(bench, "CHUNK_BYTES", batches * 16 * 784 * 8)
+        rows.clear()
+        for opt in ("lqa", "adam"):
+            out = tmp_path / f"{batches}-{opt}.csv"
+            run_training(TrainConfig(
+                model="logreg", dataset="mnist", optimizer=opt, lr=0.01, epochs=2,
+                batch_size=16, seed=6, data_dir=str(data_dir), out=str(out),
+            ), clock=FIXED_CLOCK)
+            csvs[batches, opt] = out.read_bytes()
+        assert set(rows) == {batches * 16}  # the run's buffer holds `batches` batches
+    for opt in ("lqa", "adam"):
+        assert csvs[chunk, opt] == csvs[12, opt]
+
+
+def test_cifar_shaped_run_holds_no_float64_copy_of_its_split(tmp_path):
+    data_dir = make_tiny_cifar(tmp_path, per_file=400)
+    split = 5 * 400 * 3072  # uint8 bytes of the 2,000-image train split
+    cfg = TrainConfig(
+        model="logreg", dataset="cifar10", optimizer="lqa",
+        epochs=1, batch_size=64, seed=3, data_dir=str(data_dir),
+    )
+    tracemalloc.start()
+    try:
+        recs = run_training(cfg, clock=FIXED_CLOCK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 2000 // 64
+    # loading holds the five files' records and their concatenation at once
+    # (two uint8 copies); a run then adds its scaling buffer, CHUNK_BYTES at
+    # most, and 1 MB covers the chunk's uint8 gather, the 30,730 parameters
+    # and a batch's gradients. A float64 copy of the split is 49 MB.
+    bound = 2 * split + bench.CHUNK_BYTES + (1 << 20)
+    assert peak < bound < split * 8 / 2
+
+
 def test_delta0_chains_across_epoch_boundary(tmp_path, monkeypatch):
     data_dir = make_tiny_mnist(tmp_path)
     seen_delta0 = []
@@ -427,6 +522,18 @@ def test_csv_round_trip_exact(tmp_path):
     assert back == recs
     assert math.copysign(1.0, back[1].train_loss) == -1.0
     assert type(back[1].lr_used) is float and type(back[1].forward_count) is int
+
+
+def test_read_metrics_rejects_a_last_line_without_its_newline(tmp_path):
+    path = tmp_path / "torn.csv"
+    emit_csv([MetricRecord(1, 1, 0.5, 0.5, 0.1, "", 1, 1, 0.25)], path)
+    text = path.read_text()
+    assert len(read_metrics(path)) == 1
+    # a write torn by a kill: the newline gone, then the last number cut short
+    for cut in (text[:-1], text[:-3], text[: text.index("\n")]):
+        path.write_text(cut)
+        with pytest.raises(ValueError, match="no newline"):
+            read_metrics(path)
 
 
 def test_read_metrics_rejects_schema_drift(tmp_path):

@@ -268,7 +268,7 @@ def toy_dataset(n, seed=0):
 
 def test_epoch_batches_exact_cover():
     ds = toy_dataset(128)
-    batches = epoch_batches(ds, 64, Rng(1), epoch_buffer(ds, 64))
+    batches = list(epoch_batches(ds, 64, Rng(1), epoch_buffer(ds, 64)))
     assert len(batches) == 2
     ids = np.concatenate([b.indices for b in batches])
     assert np.array_equal(np.sort(ids), np.arange(128))
@@ -278,7 +278,7 @@ def test_epoch_batches_exact_cover():
 def test_epoch_batches_drops_remainder():
     ds = toy_dataset(130)
     out = np.full((128, 4), np.nan)  # K*n rows: no room for the 2 left over
-    batches = epoch_batches(ds, 64, Rng(2), out)
+    batches = list(epoch_batches(ds, 64, Rng(2), out))
     assert len(batches) == 2
     ids = np.concatenate([b.indices for b in batches])
     assert len(ids) == 128 and len(set(ids.tolist())) == 128
@@ -311,9 +311,9 @@ def test_consecutive_epochs_share_one_buffer():
     ds = toy_dataset(96)
     out = epoch_buffer(ds, 32)
     rng = Rng(5)
-    first = epoch_batches(ds, 32, rng, out)
+    first = list(epoch_batches(ds, 32, rng, out))  # out holds the whole epoch: one chunk
     first_inputs = [b.inputs.copy() for b in first]
-    second = epoch_batches(ds, 32, rng, out)
+    second = list(epoch_batches(ds, 32, rng, out))
     for i, (a, b) in enumerate(zip(first, second)):
         # batch i of every epoch is the same contiguous rows of the one buffer
         for batch in (a, b):
@@ -329,11 +329,11 @@ def test_two_epochs_allocate_far_less_than_a_float64_copy():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.integers(0, 256, size=(6400, 28, 28), dtype=np.uint8),
                  rng.integers(0, 10, size=6400), 10)
-    out = epoch_buffer(ds, 64)
+    out = np.empty((20 * 64, 28, 28))  # the 8 MB chunk a run sizes for 64-image MNIST batches
     order = Rng(1)
     tracemalloc.start()
     try:
-        epochs = [epoch_batches(ds, 64, order, out) for _ in range(2)]
+        epochs = [list(epoch_batches(ds, 64, order, out)) for _ in range(2)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -349,6 +349,31 @@ def test_epoch_batches_validates_sizes():
         epoch_batches(ds, 11, Rng(0), epoch_buffer(ds, 11))
     with pytest.raises(ValueError):
         epoch_batches(ds, 0, Rng(0), np.empty((0, 4)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunked_epoch_draws_the_batches_of_one_chunk(chunk):
+    # 45 images, batch 4: 11 batches, in chunks of 1, or of 3, 3, 3 and 2
+    ds = toy_dataset(45, seed=8)
+    whole = [b.indices for b in epoch_batches(ds, 4, Rng(9), epoch_buffer(ds, 4))]
+    out = np.empty((chunk * 4, 4))
+    drawn = []
+    for batch in epoch_batches(ds, 4, Rng(9), out):
+        # checked as drawn: the next chunk overwrites these inputs
+        assert np.shares_memory(batch.inputs, out)
+        assert batch.inputs.tobytes() == (ds.inputs[batch.indices] / 255.0).tobytes()
+        assert np.array_equal(batch.labels, ds.labels[batch.indices])
+        drawn.append(batch.indices)
+    assert len(drawn) == 11
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, whole, strict=True))
+    assert len(set(np.concatenate(drawn).tolist())) == 44
+
+
+@pytest.mark.parametrize("rows", [0, 3, 6])
+def test_epoch_batches_rejects_a_buffer_of_no_whole_batches(rows):
+    ds = toy_dataset(20)
+    with pytest.raises(ValueError, match=f"buffer of {rows} rows"):
+        epoch_batches(ds, 4, Rng(0), np.empty((rows, 4)))
 
 
 def test_dataset_validates_labels():

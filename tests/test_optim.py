@@ -43,11 +43,29 @@ def out_of_place_baseline(name, lr, dim, mu=0.9, rho=0.9, beta1=0.9, beta2=0.999
         if name == "rmsprop":
             acc = rho * acc + (1.0 - rho) * g * g
             return p - lr * g / (np.sqrt(acc) + eps)
+        # Adam with acc = m/(1-beta1) and second = v/(1-beta2), both bias
+        # corrections folded into the rate and eps (textbook_adam is the plain form)
         t += 1
-        acc = beta1 * acc + (1.0 - beta1) * g
-        second = beta2 * second + (1.0 - beta2) * g * g
-        m_hat = acc / (1.0 - beta1**t)
-        v_hat = second / (1.0 - beta2**t)
+        scale = math.sqrt((1.0 - beta2**t) / (1.0 - beta2))
+        lr_t = lr * (1.0 - beta1) / (1.0 - beta1**t) * scale
+        acc = beta1 * acc + g
+        second = beta2 * second + g * g
+        return p - acc / (np.sqrt(second) + eps * scale) * lr_t
+
+    return step
+
+
+def textbook_adam(lr, dim, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's Adam as written (arXiv 1412.6980, Algorithm 1), out of place."""
+    m, v, t = np.zeros(dim), np.zeros(dim), 0
+
+    def step(p, g):
+        nonlocal m, v, t
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
         return p - lr * m_hat / (np.sqrt(v_hat) + eps)
 
     return step
@@ -80,6 +98,22 @@ def test_step_spanning_blocks_matches_out_of_place_recurrence_bitwise(name):
         assert stepper.step(params, g) is params
         expected = reference(expected, g)
         assert params.tobytes() == expected.tobytes(), f"step {i + 1}"
+
+
+def test_adam_stays_within_rounding_of_the_textbook_recurrence():
+    # the folded form reorders the arithmetic, so it matches the textbook
+    # form to rounding only; gradients span 1e-2 to 1e2, as above
+    rng = Rng(47)
+    params = rng_uniform(rng, (257,), -1.0, 1.0)
+    start, expected = params.copy(), params.copy()
+    stepper = make_baseline("adam", 0.01, params.size)
+    reference = textbook_adam(0.01, params.size)
+    for i in range(50):
+        g = rng_uniform(rng, (257,), -1.0, 1.0) * 10.0 ** (i % 5 - 2)
+        stepper.step(params, g)
+        expected = reference(expected, g)
+        assert np.max(np.abs(params - expected)) < 1e-12, f"step {i + 1}"
+    assert np.max(np.abs(params - start)) > 0.1  # 50 steps of about lr each
 
 
 def test_sgd_zero_lr_is_identity():
