@@ -1,4 +1,4 @@
-"""Fixed-clock CSV gate: the sha256 of 35 short training runs.
+"""Fixed-clock CSV gate: the sha256 of 49 short training runs.
 
     PYTHONPATH=src python scripts/csv_gate.py [--check scripts/csv_gate.sha256]
 
@@ -9,8 +9,11 @@ and runs {logreg, mlp, lenet5, synthetic-quadratic} x the seven optimizers
 on it. It also runs logreg with the seven optimizers on a second, 3,000-image
 split drawn from default_rng(3000), named `logreg3000`: its 46 batches per
 epoch are drawn in chunks of 20, 20 and 6 batches, so those runs cross chunk
-boundaries, where the 320-image split's five batches are one chunk. Every
-run takes 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a
+boundaries, where the 320-image split's five batches are one chunk. The
+`cifar-logreg` and `cifar-lenet5` runs, with the seven optimizers each, read
+a CIFAR-shaped split: five 64-record data_batch_*.bin files drawn from
+default_rng(10), so they take the CIFAR loader and LeNet-5's 3-channel,
+unpadded conv path. Every run takes 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a
 fixed clock, and the gate prints one `name-optimizer sha256` line per run.
 With --check FILE it compares against FILE, names each mismatch and exits 1
 if there is one.
@@ -40,6 +43,8 @@ MODELS = ("logreg", "mlp", "lenet5", "synthetic-quadratic")
 
 # the second split's directory under the gate's base, and the name of its runs
 LARGE = "logreg3000"
+# the CIFAR-shaped split's directory under the gate's base, and its runs' name prefix
+CIFAR = "cifar"
 
 
 def write_split(directory, count, seed):
@@ -53,22 +58,36 @@ def write_split(directory, count, seed):
     data.write_idx_labels(os.path.join(directory, "train-labels-idx1-ubyte"), labels)
 
 
+def write_cifar_split(directory, seed):
+    """Five 64-record CIFAR-10 data_batch_*.bin files drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    os.makedirs(directory)
+    for i in range(1, 6):
+        labels = rng.integers(0, 10, size=(64, 1), dtype=np.uint8)
+        pixels = rng.integers(0, 256, size=(64, 3072), dtype=np.uint8)
+        np.hstack([labels, pixels]).tofile(os.path.join(directory, f"data_batch_{i}.bin"))
+
+
 def write_inputs(base):
-    """The gate's two train splits, the only files a run reads."""
+    """The gate's three train splits, the only files a run reads."""
     write_split(base, 320, 123)
     write_split(os.path.join(base, LARGE), 3000, 3000)
+    write_cifar_split(os.path.join(base, CIFAR), 10)
 
 
 def gate_hashes(base):
     """{"name-optimizer": sha256 of that run's fixed-clock CSV}."""
-    runs = [(model, model, base) for model in MODELS] + [(LARGE, "logreg", os.path.join(base, LARGE))]
+    runs = [(model, model, "mnist", base) for model in MODELS]
+    runs.append((LARGE, "logreg", "mnist", os.path.join(base, LARGE)))
+    runs += [(f"{CIFAR}-{model}", model, "cifar10", os.path.join(base, CIFAR))
+             for model in ("logreg", "lenet5")]
     hashes = {}
-    for name, model, data_dir in runs:
+    for name, model, dataset, data_dir in runs:
         for optimizer in bench.OPTIMIZERS:
             if model == "synthetic-quadratic":
                 where = dict(dataset=model)
             else:
-                where = dict(model=model, dataset="mnist", data_dir=data_dir)
+                where = dict(model=model, dataset=dataset, data_dir=data_dir)
             out = os.path.join(base, f"{name}-{optimizer}.csv")
             config = bench.TrainConfig(
                 optimizer=optimizer, lr=None if optimizer == "lqa" else 0.01,
@@ -81,7 +100,7 @@ def gate_hashes(base):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="sha256 of 35 fixed-clock training CSVs")
+    parser = argparse.ArgumentParser(description="sha256 of 49 fixed-clock training CSVs")
     parser.add_argument("--check", metavar="FILE", help="expected `name sha256` lines")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as base:

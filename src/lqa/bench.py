@@ -139,11 +139,11 @@ def _setup(config, rng):
         train = data_mod.load_cifar10(base)[0]
         flat_dim, image_shape = 3072, (3, 32, 32)
     if config.model == "logreg":
-        model = nn.build_logreg(flat_dim, 10)
+        model = nn.build_logreg(flat_dim, train.classes)
     elif config.model == "mlp":
-        model = nn.build_mlp(flat_dim, 1000, 10)
+        model = nn.build_mlp(flat_dim, 1000, train.classes)
     else:
-        model = nn.build_lenet5(image_shape, 10)
+        model = nn.build_lenet5(image_shape, train.classes)
     params = nn.init_params(model, rng, config.init)
     scratch = np.empty_like(params)
     # one buffer for every chunk of every epoch: a fresh one per chunk would
@@ -410,8 +410,6 @@ def check_quadratic_exactness():
         q = data_mod.synthetic_quadratic(dim, derive_seed(seed, i))
         rng = Rng(derive_seed(seed, 1000 + i))
         theta = rng_uniform(rng, (dim,), -1.0, 1.0)
-        if float(theta @ theta) < 1e-3:
-            theta = theta + 1.0
         shift = (float(q.c @ theta) - 0.5 * float(theta @ (q.A @ theta))) / float(theta @ theta)
         q = oracle.QuadraticObjective(q.A, q.c - shift * theta)
         loss0, grad = oracle.quad_loss_grad(q, theta)

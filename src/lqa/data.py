@@ -213,23 +213,30 @@ def load_cifar10(directory):
 
     Accepts either the directory that directly contains the .bin files or its
     parent (the archive extracts to cifar-10-batches-bin/). A 1-tuple, as
-    load_mnist returns, so bench._setup indexes both loaders alike.
+    load_mnist returns, so bench._setup indexes both loaders alike. Each file
+    is read into its rows of one (N, 3073) record array, so the split is held
+    once; the images are a view of it.
     """
     inner = os.path.join(directory, CIFAR10_DIRNAME)
     if os.path.isdir(inner):
         directory = inner
-    images, labels = [], []
+    sizes = {}  # path: bytes, checked before anything is allocated
     for name in _CIFAR_TRAIN_FILES:
         path = os.path.join(directory, name)
         if not os.path.exists(path):
             raise FileNotFoundError(f"{name} not found under {directory}")
-        raw = np.fromfile(path, dtype=np.uint8)
-        if raw.size == 0 or raw.size % _CIFAR_RECORD:
+        sizes[path] = os.path.getsize(path)
+        if sizes[path] == 0 or sizes[path] % _CIFAR_RECORD:
             raise ValueError(f"{path} is not a whole number of {_CIFAR_RECORD}-byte records")
-        recs = raw.reshape(-1, _CIFAR_RECORD)
-        labels.append(recs[:, 0])
-        images.append(recs[:, 1:].reshape(-1, 3, 32, 32))
-    return (_dataset(np.concatenate(images), np.concatenate(labels)),)
+    recs = np.empty((sum(sizes.values()) // _CIFAR_RECORD, _CIFAR_RECORD), dtype=np.uint8)
+    row = 0
+    for path, size in sizes.items():
+        rows = recs[row : row + size // _CIFAR_RECORD]
+        with open(path, "rb") as f:
+            if f.readinto(rows) != size or f.read(1):
+                raise ValueError(f"{path} changed size while it was read")
+        row += len(rows)
+    return (_dataset(recs[:, 1:].reshape(-1, 3, 32, 32), recs[:, 0]),)
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,12 @@ class Layer:
 
     Every layer defines forward(x) and backward(dout), which fills the bound
     grads and returns the gradient with respect to the last forward's input.
-    The weighted layers, Dense and Conv2d, set param_shapes and define fans(),
-    the (fan_in, fan_out) of their weight tensor that init_params reads. They
-    also take `input_grad`: with False they fill grads and return None,
-    skipping the input gradient that nobody reads below a model's first
-    weighted layer. Their `ray(G, gb)` returns f(s), the output on the last
-    forward's input at that forward's weights moved to W - s*G and b - s*gb,
-    from what that forward kept; the loss probe reads it.
+    The weighted layers, Dense and Conv2d, set param_shapes (weight first),
+    and their backward takes `input_grad`: with False they fill grads and
+    return None, skipping the input gradient nobody reads below a model's
+    first weighted layer. Their `ray(G, gb)` returns f(s), the output on the
+    last forward's input at its weights moved to W - s*G and b - s*gb, from
+    what that forward kept; the loss probe reads it.
     """
 
     param_shapes = ()
@@ -80,13 +79,8 @@ class Dense(Layer):
     """
 
     def __init__(self, in_dim, out_dim):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.param_shapes = ((in_dim, out_dim), (out_dim,))
         self._x = self._out = None
-
-    def fans(self):
-        return self.in_dim, self.out_dim
 
     def forward(self, x):
         self._x = x
@@ -142,9 +136,6 @@ class Conv2d(Layer):
         self._cols = None
         self._xshape = None
         self._weights = ()  # the last forward's (W, b), views of the vector it was bound to
-
-    def fans(self):
-        return self.cin * self.k * self.k, self.cout * self.k * self.k
 
     def forward(self, x):
         n, cin, h, w = x.shape
@@ -285,8 +276,7 @@ class Model:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self._layout = []  # (layer, ((slice, shape), ...)) for each weighted layer
-        self.passes = 0  # full forward passes; a probe's partial pass does not count
-        self._grad_pass = (None, None, None)  # (passes, batch, params) at the last gradient pass
+        self._grad_pass = None  # (batch, params) while the layers hold that gradient pass's state
         offset = 0
         for layer in self.layers:
             spans = []
@@ -310,7 +300,7 @@ class Model:
 
     def forward(self, x):
         """Logits for a batch shaped (n, *input_shape)."""
-        self.passes += 1
+        self._grad_pass = None  # backward sets it again once this pass is its own
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -344,9 +334,9 @@ def forward_loss(model, batch, params, first_output=None):
 
     With `first_output`, a function returning the first weighted layer's
     output on this batch, the pass starts after that layer: the layers up to
-    it do not run, their span of `params` is not read, and the pass does not
-    count in `model.passes`. The function is called as the pass begins, so
-    that no caller keeps that output alive through the later layers.
+    it do not run, their span of `params` is not read, and model._grad_pass
+    stays. The function is called as the pass begins, so that no caller
+    keeps that output alive through the later layers.
     """
     model.bind(params)
     return _loss_head(model, batch, first_output)[0]
@@ -367,7 +357,7 @@ def backward(model, batch, params):
     for layer in reversed(model.layers):
         if layer is first:
             layer.backward(d, input_grad=False)
-            model._grad_pass = (model.passes, batch, params)
+            model._grad_pass = (batch, params)
             break
         d = layer.backward(d)
     return loss, grad
@@ -388,9 +378,9 @@ def init_params(model, rng, scheme="default"):
     if scheme == "zeros":
         return params
     for layer, _ in model._layout:
-        fan_in, fan_out = layer.fans()
-        r = np.sqrt(6.0 / (fan_in + fan_out))
         W = layer.params[0]
+        # W is Dense's (in, out) or Conv2d's (out, in, k, k): fan_in + fan_out = (in + out) * W[0, 0].size
+        r = np.sqrt(6.0 / ((W.shape[0] + W.shape[1]) * W[0, 0].size))
         W[:] = rng_uniform(rng, W.shape, -r, r)
     return params
 
@@ -428,18 +418,13 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     c1, c2 = conv_channels
     f1, f2 = fc_dims
     side = h
-    for _ in range(2):  # two conv->pool stages, kernel 5, pool 2
+    for stage_in, stage_out in ((cin, c1), (c1, c2)):  # conv(5x5) -> relu -> pool(2x2)
         side = side - 4
         if side < 2 or side % 2:
             raise ValueError(f"input shape {input_shape} does not fit the topology")
         side //= 2
+        layers += [Conv2d(stage_in, stage_out, 5), Relu(), MaxPool2()]
     layers += [
-        Conv2d(cin, c1, 5),
-        Relu(),
-        MaxPool2(),
-        Conv2d(c1, c2, 5),
-        Relu(),
-        MaxPool2(),
         Flatten(),
         Dense(c2 * side * side, f1),
         Relu(),
@@ -473,14 +458,14 @@ def make_loss_probe(model, batch, params, grad, scratch):
     """
     first, spans = model._layout[0]
     rest = slice(spans[-1][0].stop, None)
-    passes, grad_batch, grad_params = model._grad_pass
-    if passes != model.passes or grad_batch is not batch or grad_params is not params:
+    grad_pass = model._grad_pass
+    if grad_pass is None or grad_pass[0] is not batch or grad_pass[1] is not params:
         raise ValueError("a probe must follow the gradient pass at its batch and params")
     along = None
 
     def probe(s):
         nonlocal along
-        if model.passes != passes:
+        if model._grad_pass is not grad_pass:
             raise ValueError("the model ran a forward pass since this probe was made")
         if along is None:
             along = first.ray(*(grad[sl].reshape(shape) for sl, shape in spans))

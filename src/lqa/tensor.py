@@ -27,7 +27,6 @@ class NonFiniteError(ValueError):
 # Random source
 # ---------------------------------------------------------------------------
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of SplitMix64
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)

@@ -248,6 +248,51 @@ def test_load_cifar10_truncated_rejected(tmp_path):
         load_cifar10(base)
 
 
+def test_load_cifar10_holds_its_split_once(tmp_path):
+    base, store = make_cifar_dir(tmp_path, per_file=400)
+    tracemalloc.start()
+    try:
+        (train,) = load_cifar10(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    split_bytes = 5 * 400 * 3073  # the five files' records
+    # reading each file whole and then concatenating them holds the split twice
+    assert peak < 1.1 * split_bytes
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)]
+    pixels = np.concatenate([store[name][1] for name in names])
+    assert np.array_equal(train.inputs, pixels.reshape(-1, 3, 32, 32))
+    assert np.array_equal(train.labels, np.concatenate([store[name][0] for name in names]))
+
+
+@pytest.mark.parametrize("damage", ["missing", "empty"])
+def test_load_cifar10_rejects_a_missing_or_empty_file(tmp_path, damage):
+    base, _ = make_cifar_dir(tmp_path)
+    path = base / "cifar-10-batches-bin" / "data_batch_4.bin"
+    if damage == "missing":
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match="data_batch_4.bin"):
+            load_cifar10(base)
+    else:
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="3073"):
+            load_cifar10(base)
+
+
+@pytest.mark.parametrize("records", [-1, 1])
+def test_load_cifar10_rejects_a_file_that_changed_size_after_its_check(tmp_path, monkeypatch, records):
+    # the sizes are checked, and the split allocated, before any file is read
+    base, _ = make_cifar_dir(tmp_path)
+    getsize = os.path.getsize
+
+    def checked_size(path):
+        return getsize(path) + (records * 3073 if path.endswith("data_batch_3.bin") else 0)
+
+    monkeypatch.setattr(data.os.path, "getsize", checked_size)
+    with pytest.raises(ValueError, match="data_batch_3.bin changed size"):
+        load_cifar10(base)
+
+
 # --- batching ------------------------------------------------------------------
 
 

@@ -473,6 +473,16 @@ def test_lenet5_cifar_variant_builds():
     assert model.forward(np.zeros((2, 3, 32, 32))).shape == (2, 10)
 
 
+@pytest.mark.parametrize("input_shape", [(1, 28, 28), (3, 32, 32)])
+def test_lenet5_layer_sequence(input_shape):
+    # perfbench names its per-layer metrics by position in this sequence
+    pad = ["SpatialZeroPad"] if input_shape == (1, 28, 28) else []
+    assert [type(layer).__name__ for layer in nn.build_lenet5(input_shape).layers] == pad + [
+        "Conv2d", "Relu", "MaxPool2", "Conv2d", "Relu", "MaxPool2",
+        "Flatten", "Dense", "Relu", "Dense", "Relu", "Dense",
+    ]
+
+
 def test_lenet5_rejects_impossible_extents():
     with pytest.raises(ValueError):
         nn.build_lenet5((1, 9, 9), 10)
@@ -518,13 +528,25 @@ def test_init_is_seed_deterministic_and_zero_mode_zeroes():
 
 
 def test_init_bounds_follow_fan_sums():
-    model = nn.build_logreg(784, 10)
-    nn.init_params(model, Rng(8))
-    W = model.layers[0].params[0]
-    r = math.sqrt(6.0 / (784 + 10))
-    assert np.abs(W).max() <= r
-    assert np.abs(W).max() > 0.5 * r  # draws actually fill the interval
-    assert not model.layers[0].params[1].any()  # biases stay zero
+    # fan_in + fan_out of each weighted layer in order; a conv's fans count
+    # its 5x5 kernel once per input and once per output channel
+    fc = [400 + 120, 120 + 84, 84 + 10]
+    cases = [
+        (nn.build_logreg(784, 10), [784 + 10]),
+        (nn.build_mlp(784, 1000, 10), [784 + 1000, 1000 + 1000, 1000 + 10]),
+        (nn.build_lenet5((1, 28, 28), 10), [(1 + 6) * 25, (6 + 16) * 25, *fc]),
+        (nn.build_lenet5((3, 32, 32), 10), [(3 + 6) * 25, (6 + 16) * 25, *fc]),
+    ]
+    for model, fan_sums in cases:
+        nn.init_params(model, Rng(8))
+        weighted = [layer for layer in model.layers if layer.param_shapes]
+        assert len(weighted) == len(fan_sums)
+        for layer, fan_sum in zip(weighted, fan_sums):
+            W, b = layer.params
+            r = math.sqrt(6.0 / fan_sum)
+            assert np.abs(W).max() <= r
+            assert np.abs(W).max() > 0.5 * r  # draws actually fill the interval
+            assert not b.any()  # biases stay zero
 
 
 # --- probe -------------------------------------------------------------------
@@ -598,12 +620,20 @@ def test_lenet5_probe_keeps_the_bits_of_a_forward_at_the_point(name):
 def test_probe_refuses_state_another_forward_left(name):
     model, params, batch, grad = gradient_step(name)
     probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
-    probe(0.1)
+    probe_value = probe(0.1)
     nn.forward_loss(model, batch, params + 1.0)  # the first layer now keeps this pass's state
     with pytest.raises(ValueError):
         probe(0.1)
     with pytest.raises(ValueError):  # nor may a probe be built on that state
         nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    # another gradient pass at the very same batch and params objects also
+    # replaces that state: only a probe built after it may run
+    _, grad = nn.backward(model, batch, params)
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    _, grad = nn.backward(model, batch, params)
+    with pytest.raises(ValueError):
+        probe(0.1)
+    assert nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))(0.1) == probe_value
 
 
 @pytest.mark.parametrize("name", ["logreg", "lenet5"])

@@ -467,11 +467,11 @@ def test_step_allocates_no_parameter_sized_temporary(name):
     assert _traced_peak(step) < params.nbytes / 4
 
 
-def test_adam_holds_two_parameter_sized_vectors_and_two_blocks():
+def test_adam_holds_two_parameter_sized_vectors_and_one_block():
     dim = 8 * BLOCK + 5
-    # the two moments plus one block each of scratch; the slack covers the
-    # array and object headers, far less than a third block
-    bound = 8 * (2 * dim + 2 * BLOCK) + 4096
+    # the two moments plus one block of scratch; the slack covers the array
+    # and object headers, far less than a second block
+    bound = 8 * (2 * dim + BLOCK) + 4096
     assert _traced_peak(lambda: make_baseline("adam", 0.01, dim)) <= bound
 
 
