@@ -171,9 +171,9 @@ def run_training(config, clock=time.perf_counter, log=None):
     the run's own parameter vector in place with the configured optimizer.
     The CSV is written to config.out (when set) header-only before the first
     step, so an unwritable path fails at once. Each epoch's rows are appended
-    when the epoch ends, before `log` hears of it, so a killed run keeps every
-    finished epoch; the rows of an epoch cut short by divergence or Ctrl-C
-    are appended however the run ends.
+    once, when the epoch ends or is cut short (by divergence or Ctrl-C), and
+    before `log` hears of it, so a killed run keeps every finished epoch. A
+    failed append is not retried, so no row is written twice.
     """
     config.validate()
     params, epoch_batches, evaluate = _setup(config, Rng(derive_seed(config.seed, 1)))
@@ -185,50 +185,48 @@ def run_training(config, clock=time.perf_counter, log=None):
         stepper = optim.make_baseline(config.optimizer, config.lr, params.size)
     probes = []  # one entry per probe lqa_step makes, each one more forward pass
     records = []
-    written = 0  # how many of the records are in config.out
     t0 = clock()
     try:
         for epoch in range(1, config.epochs + 1):
+            first = len(records)
             loss_sum = 0.0
-            for k, batch in enumerate(epoch_batches(), start=1):
-                loss, grad, probe = evaluate(batch, params)
-                if not math.isfinite(loss):
-                    raise NonFiniteError(f"non-finite loss at epoch {epoch} step {k}")
-                loss_sum += loss
-                if config.optimizer == "lqa":
-                    # the probe it gets logs each call; append returns None
-                    optim.lqa_step(params, grad, loss,
-                                   lambda s: probes.append(s) or probe(s), state)
-                    lr_used, verdict = state.delta0, state.last_verdict.value
-                else:
-                    stepper.step(params, grad)
-                    lr_used, verdict = config.lr, ""
-                step = len(records) + 1
-                records.append(
-                    MetricRecord(
-                        epoch=epoch,
-                        batch_step=step,
-                        train_loss=loss,
-                        epoch_loss=loss_sum / k,
-                        lr_used=lr_used,
-                        lqa_verdict=verdict,
-                        # one forward and one backward per gradient pass
-                        forward_count=step + len(probes),
-                        backward_count=step,
-                        wall_time_s=clock() - t0,
+            try:
+                for k, batch in enumerate(epoch_batches(), start=1):
+                    loss, grad, probe = evaluate(batch, params)
+                    if not math.isfinite(loss):
+                        raise NonFiniteError(f"non-finite loss at epoch {epoch} step {k}")
+                    loss_sum += loss
+                    if config.optimizer == "lqa":
+                        # the probe it gets logs each call; append returns None
+                        optim.lqa_step(params, grad, loss,
+                                       lambda s: probes.append(s) or probe(s), state)
+                        lr_used, verdict = state.delta0, state.last_verdict.value
+                    else:
+                        stepper.step(params, grad)
+                        lr_used, verdict = config.lr, ""
+                    step = len(records) + 1
+                    records.append(
+                        MetricRecord(
+                            epoch=epoch,
+                            batch_step=step,
+                            train_loss=loss,
+                            epoch_loss=loss_sum / k,
+                            lr_used=lr_used,
+                            lqa_verdict=verdict,
+                            # one forward and one backward per gradient pass
+                            forward_count=step + len(probes),
+                            backward_count=step,
+                            wall_time_s=clock() - t0,
+                        )
                     )
-                )
-            if config.out:
-                emit_csv(records[written:], config.out, append=True)
-                written = len(records)
+            finally:
+                if config.out:
+                    emit_csv(records[first:], config.out, append=True)
             if log is not None:
                 last = records[-1]
                 log(f"epoch {epoch}/{config.epochs}  loss {last.epoch_loss:.6f}  lr {last.lr_used:.6g}")
     except NonFiniteError as exc:
         raise TrainingDiverged(str(exc)) from exc
-    finally:
-        if config.out and written < len(records):
-            emit_csv(records[written:], config.out, append=True)
     return records
 
 
@@ -255,8 +253,10 @@ def emit_csv(records, path, append=False):
 def read_metrics(path):
     """Parse a metrics CSV back into records.
 
-    Raises ValueError on schema drift, and on a last line without its newline:
-    what a write cut short by a kill leaves, whose last number may be cut too.
+    Raises ValueError on schema drift, on a last line without its newline
+    (what a write cut short by a kill leaves, whose last number may be cut
+    too), and on a batch_step that does not increase: rows written twice, or
+    two runs' rows in one file.
     """
     with open(path, newline="") as f:
         text = f.read()
@@ -273,6 +273,9 @@ def read_metrics(path):
         if len(row) != len(columns):
             raise ValueError(f"{path}: expected {len(columns)} columns, got {len(row)}")
         records.append(MetricRecord(*(c.type(cell) for c, cell in zip(columns, row))))
+        if len(records) > 1 and records[-1].batch_step <= records[-2].batch_step:
+            raise ValueError(f"{path}: line {reader.line_num}: batch_step "
+                             f"{records[-1].batch_step} does not increase")
     return records
 
 

@@ -1,3 +1,5 @@
+import csv
+import errno
 import gzip
 import math
 import os
@@ -35,19 +37,18 @@ def quad_config(**kw):
     return TrainConfig(**base)
 
 
-def make_tiny_mnist(tmp_path, n_train=192, n_test=64):
-    """Writes a small classification set in the MNIST on-disk layout."""
+def make_tiny_mnist(tmp_path, n_train=192):
+    """Writes a small classification set's train split in the MNIST on-disk layout."""
     rng = np.random.default_rng(12)
     d = tmp_path / "data" / "mnist"
     d.mkdir(parents=True)
-    for stem, n in (("train", n_train), ("t10k", n_test)):
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        # images lightly correlated with the label so the loss can actually fall
-        images = rng.integers(0, 40, size=(n, 28, 28), dtype=np.uint8)
-        for i, lab in enumerate(labels):
-            images[i, lab, :] = 220
-        write_idx_images(d / f"{stem}-images-idx3-ubyte", images)
-        write_idx_labels(d / f"{stem}-labels-idx1-ubyte", labels)
+    labels = rng.integers(0, 10, size=n_train, dtype=np.uint8)
+    # images lightly correlated with the label so the loss can actually fall
+    images = rng.integers(0, 40, size=(n_train, 28, 28), dtype=np.uint8)
+    for i, lab in enumerate(labels):
+        images[i, lab, :] = 220
+    write_idx_images(d / "train-images-idx3-ubyte", images)
+    write_idx_labels(d / "train-labels-idx1-ubyte", labels)
     return tmp_path / "data"
 
 
@@ -227,6 +228,33 @@ def test_killed_run_keeps_every_finished_epoch(tmp_path, kill_after):
     assert len(read_metrics(killed)) == 3 * kill_after
 
 
+def test_a_failed_append_is_not_retried(tmp_path, monkeypatch):
+    real_emit_csv = bench.emit_csv
+    appends = []
+
+    def emit_csv(records, path, append=False):
+        if append:
+            appends.append(records)
+            if len(appends) == 2:  # the disk fills after the second epoch's first row
+                real_emit_csv(records[:1], path, append=True)
+                raise OSError(errno.ENOSPC, "No space left on device")
+        real_emit_csv(records, path, append=append)
+
+    monkeypatch.setattr(bench, "emit_csv", emit_csv)
+    out = tmp_path / "full.csv"
+    cfg = TrainConfig(
+        model="logreg", dataset="mnist", optimizer="sgd", lr=0.1, epochs=3, batch_size=64,
+        seed=4, data_dir=str(make_tiny_mnist(tmp_path)), out=str(out),
+    )
+    with pytest.raises(OSError) as info:
+        run_training(cfg, clock=FIXED_CLOCK)
+    assert info.value.errno == errno.ENOSPC
+    # read with the csv module, not read_metrics, which rejects repeated steps itself
+    with open(out, newline="") as f:
+        steps = [int(row["batch_step"]) for row in csv.DictReader(f)]
+    assert steps == [1, 2, 3, 4]  # the first epoch's 3 rows and the one that fit
+
+
 def test_unwritable_out_fails_before_the_first_step(tmp_path):
     calls = []
 
@@ -253,7 +281,7 @@ def test_every_hooked_name_is_called_through_its_module(tmp_path, monkeypatch):
 
     def recorded(key, fn):
         def wrapper(*args, **kwargs):
-            calls.setdefault(key, []).append(args)
+            calls.setdefault(key, []).append((args, kwargs))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -267,12 +295,18 @@ def test_every_hooked_name_is_called_through_its_module(tmp_path, monkeypatch):
             batch_size=64, seed=4, data_dir=str(data_dir), out=str(tmp_path / f"{opt}.csv"),
         )
         recs = run_training(cfg, clock=FIXED_CLOCK)
-        passed = [args[2] for args in calls.pop("lqa.nn.backward")]
+        passed = [args[2] for args, _ in calls.pop("lqa.nn.backward")]
         assert len(passed) == len(recs) == 6
         # the run's own vector, stepped in place: the one array a hook can save
         assert all(p is passed[0] for p in passed)
+        # perfbench's bench.emit_csv_ms is the median over exactly these writes:
+        # the header, then one append of 3 rows per epoch
+        writes = [(len(args[0]), kwargs.get("append", False))
+                  for args, kwargs in calls.pop("lqa.bench.emit_csv")]
+        assert writes == [(0, False), (3, True), (3, True)]
     assert sorted(calls) == sorted(
-        f"{module.__name__}.{name}" for module, name in PERFBENCH_HOOKS if name != "backward"
+        f"{module.__name__}.{name}" for module, name in PERFBENCH_HOOKS
+        if name not in ("backward", "emit_csv")
     )
 
 
@@ -536,6 +570,22 @@ def test_read_metrics_rejects_a_last_line_without_its_newline(tmp_path):
             read_metrics(path)
 
 
+def test_read_metrics_rejects_a_batch_step_that_does_not_increase(tmp_path, capsys):
+    recs = [MetricRecord((s + 1) // 2, s, 0.5, 0.5, 0.1, "", s, s, 0.0) for s in (1, 2, 3, 4)]
+    retried, pasted = tmp_path / "retried.csv", tmp_path / "pasted.csv"
+    emit_csv(recs + recs[2:], retried)  # an append written again: steps 1-4, 3, 4
+    emit_csv(recs, pasted)
+    emit_csv(recs, pasted, append=True)  # two runs in one file: steps 1-4, 1-4
+    for path in (retried, pasted):
+        # the header is line 1, so the fifth row is line 6
+        with pytest.raises(ValueError, match=f"{path}: line 6: batch_step"):
+            read_metrics(path)
+        svg = path.with_suffix(".svg")
+        assert bench.cli_main(["plot", "--out", str(svg), str(path)]) == 1
+        assert f"error: {path}: line 6: batch_step" in capsys.readouterr().err
+        assert not svg.exists()
+
+
 def test_read_metrics_rejects_schema_drift(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("epoch,loss\n1,0.5\n")
@@ -768,8 +818,9 @@ def test_cli_fetch_reports_unreachable_url(tmp_path, capsys):
 
 def test_cli_train_reads_only_the_train_split(tmp_path):
     data_dir = make_tiny_mnist(tmp_path)
-    for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
-        (data_dir / "mnist" / name).unlink()
+    assert sorted(os.listdir(data_dir / "mnist")) == [
+        "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
+    ]
     out = tmp_path / "x.csv"
     code = bench.cli_main(
         [
@@ -879,7 +930,7 @@ def train_argv(tmp_path, data_dir, dataset):
     "stem,header_len", [("train-images-idx3-ubyte", 16), ("train-labels-idx1-ubyte", 8)]
 )
 def test_cli_train_ends_cleanly_on_damaged_idx(tmp_path, capsys, stem, header_len, compressed):
-    data_dir = make_tiny_mnist(tmp_path, n_train=128, n_test=1)
+    data_dir = make_tiny_mnist(tmp_path, n_train=128)
     path = data_dir / "mnist" / stem
     if compressed:
         gz = path.with_name(stem + ".gz")
