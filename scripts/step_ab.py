@@ -15,7 +15,10 @@ same model shape, initial parameters, and cycle of eight seeded batches of
 training loop does per batch: the gradient pass, the loss probe, and the
 update (`lqa_step`, or the baseline's step at rate 0.01). Every step
 restarts from the initial parameters, copied in untimed, so both sides do
-the same work and LQA's greedy rate cannot diverge. After a warm-up, rounds
+the same work and LQA's greedy rate cannot diverge. For the same reason the
+tool cannot see a cost that depends on the trajectory, such as a pass whose
+speed follows what the weights have become; only whole runs
+(`scripts/bench_pairs.py`) see those. After a warm-up, rounds
 run for SECONDS. Each round times single steps in ABBA order, parent-change-
 change-parent, then the A/A control change-copy-copy-change, and keeps each
 side's two-step sum; every other round runs BAAB instead, so neither side

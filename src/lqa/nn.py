@@ -10,19 +10,22 @@ layout, which the weighted layers fill in place, and returns it.
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
 input gradient, so the layers before it never run backward. MaxPool2 keeps a
-small first-max code per window for its backward, not its input. Conv2d lays
-its columns, output and input gradient out channel first, so im2col and
-col2im run over contiguous memory, and it keeps one column buffer at a time.
+small first-max code per window for its backward, not its input, and builds
+it in gradient passes only. LeNet-5 pools before its ReLUs, which then run on
+a quarter of the elements. Conv2d lays its columns and output out channel
+first and its input gradient batch last, so im2col and col2im run over
+contiguous memory, and it keeps one column buffer at a time.
 
 The loss probe, which the probe-based optimizer calls twice per batch step,
 redoes no work that is the same at every step size. It starts at the first
 weighted layer, from what the step's gradient pass left there: Conv2d's
 columns, against which it multiplies the probe point's filters, or Dense's
 output, which is affine along the gradient ray. The layers before it, which
-see only the batch, do not run again. It writes the parameters after that
-layer into a scratch vector the caller owns, so probing allocates no
-parameter-sized vector. It counts nothing: the training loop counts the
-probes the optimizer makes.
+see only the batch, do not run again. The layers after it run `infer`, which
+keeps nothing for a backward, and the head computes no logit gradient. It
+writes the parameters after that layer into a scratch vector the caller
+owns, so probing allocates no parameter-sized vector. It counts nothing: the
+training loop counts the probes the optimizer makes.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
@@ -58,6 +61,8 @@ class Layer:
 
     Every layer defines forward(x) and backward(dout), which fills the bound
     grads and returns the gradient with respect to the last forward's input.
+    infer(x) returns forward's output where no backward follows; a layer
+    whose forward keeps state only its backward reads may skip it there.
     The weighted layers, Dense and Conv2d, set param_shapes (weight first),
     and their backward takes `input_grad`: with False they fill grads and
     return None, skipping the input gradient nobody reads below a model's
@@ -68,6 +73,9 @@ class Layer:
 
     param_shapes = ()
     params = grads = ()
+
+    def infer(self, x):
+        return self.forward(x)
 
 
 class Dense(Layer):
@@ -121,9 +129,11 @@ class Conv2d(Layer):
     (cin*k*k, n*oh*ow), and runs one matrix product against the (cout,
     cin*k*k) filter bank; its output is an (n, cout, oh, ow) view of (cout, n,
     oh, ow) memory. The last pass's columns are dropped before new ones are
-    built, so one column buffer is live. Backward adds each kernel offset's
-    (cin, n, oh, ow) slab of column gradients, contiguous per channel, into a
-    (cin, n, h, w) buffer (col2im); the input gradient is a view of it. Its
+    built, so one column buffer is live. Backward multiplies the filters
+    against the output gradient laid out (cout, oh, ow, n) and adds each
+    kernel offset's (cin, oh, ow, n) slab of column gradients into a (cin, h,
+    w, n) buffer (col2im), so each add writes runs of ow*n floats; the input
+    gradient is an (n, cin, h, w) view of it. Its
     `ray` multiplies the last forward's filters, moved along the ray, against
     the kept columns, with a forward's bits; the output itself is not kept.
     """
@@ -176,12 +186,16 @@ class Conv2d(Layer):
         np.sum(dmat, axis=0, out=gb)
         if not input_grad:
             return None
-        dcols = (W.reshape(cout, -1).T @ dmat.T).reshape(cin, k, k, n, oh, ow)
-        dx = np.zeros((cin, n, h, w), dtype=np.float64)
+        del dmat  # freed before dlast, its size, is made: a run's peak RSS counts both
+        # batch innermost: each slab add below writes runs of ow*n floats, in
+        # the same per-element order, so dx keeps its bits
+        dlast = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).reshape(cout, -1)
+        dcols = (W.reshape(cout, -1).T @ dlast).reshape(cin, k, k, oh, ow, n)
+        dx = np.zeros((cin, h, w, n), dtype=np.float64)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
-        return dx.transpose(1, 0, 2, 3)
+                dx[:, i : i + oh, j : j + ow] += dcols[:, i, j]
+        return dx.transpose(3, 0, 1, 2)
 
 
 class MaxPool2(Layer):
@@ -191,23 +205,33 @@ class MaxPool2(Layer):
     only a uint8 code per window: the row-major position, 0 to 3, of its
     first maximum. Backward routes each output gradient to that position.
     The input itself is not kept, which would raise a LeNet-5 run's peak RSS.
+    `infer` takes the three maxima alone: the code is five of forward's
+    eight passes, and only a gradient pass reads it.
     """
 
     def __init__(self):
         self._code = None
 
-    def forward(self, x):
+    @staticmethod
+    def _windows(x):
+        """The four strided (n, c, h/2, w/2) views of x's windows, in row-major position order."""
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial extents, got {h}x{w}")
         win = x.reshape(n, c, h // 2, 2, w // 2, 2)
-        x00, x01 = win[:, :, :, 0, :, 0], win[:, :, :, 0, :, 1]
-        x10, x11 = win[:, :, :, 1, :, 0], win[:, :, :, 1, :, 1]
+        return win[:, :, :, 0, :, 0], win[:, :, :, 0, :, 1], win[:, :, :, 1, :, 0], win[:, :, :, 1, :, 1]
+
+    def forward(self, x):
+        x00, x01, x10, x11 = self._windows(x)
         top = np.maximum(x00, x01)
         bottom = np.maximum(x10, x11)
         # a later element wins only when strictly greater, as argmax would pick
         self._code = np.where(top >= bottom, x01 > x00, 2 + (x11 > x10).view(np.uint8))
         return np.maximum(top, bottom)
+
+    def infer(self, x):
+        x00, x01, x10, x11 = self._windows(x)
+        return np.maximum(np.maximum(x00, x01), np.maximum(x10, x11))
 
     def backward(self, dout):
         code = self._code
@@ -245,20 +269,26 @@ class SpatialZeroPad(Layer):
         return dout[:, :, p:-p, p:-p].copy()
 
 
+def _nll(logits, labels):
+    """(mean NLL, z, lse): the loss, with the shifted logits and log-sum-exp its gradient reuses."""
+    with np.errstate(over="ignore", invalid="ignore"):  # callers surface non-finite losses
+        z = logits - logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        loss = float(np.mean(lse - z[np.arange(len(z)), labels]))
+    return loss, z, lse
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer labels under softmax(logits).
 
     Fused in log space (log-sum-exp with max subtraction). Returns the loss
     and its gradient with respect to the logits, (softmax - onehot)/n.
     """
+    loss, z, lse = _nll(logits, labels)
     n = logits.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # callers surface non-finite losses
-        z = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
-        rows = np.arange(n)
-        loss = float(np.mean(lse - z[rows, labels]))
+    with np.errstate(over="ignore", invalid="ignore"):
         dlogits = np.exp(z - lse[:, None])
-        dlogits[rows, labels] -= 1.0
+        dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
     return loss, dlogits
 
@@ -306,27 +336,31 @@ class Model:
         return x
 
     def _forward_after_first(self, z):
-        """Logits from z, the first weighted layer's output; the layers up to it do not run."""
+        """Logits from z, the first weighted layer's output; the layers up to it do not run.
+
+        No backward follows, so the layers after it run `infer`.
+        """
         for layer in self.layers[self.layers.index(self._layout[0][0]) + 1 :]:
-            z = layer.forward(z)
+            z = layer.infer(z)
         return z
 
 
-def _loss_head(model, batch, first_output=None):
-    """(loss, dlogits) of the model on the batch, at whatever params are bound."""
+def _logits(model, batch, first_output=None):
+    """The model's logits on the batch, at whatever params are bound."""
     n = len(batch.labels)
     if n == 0:
         raise ValueError("batch is empty")
     if first_output is None:
         x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
-        logits = model.forward(x)
-    else:
-        # made inside the call, so only the layers hold that output and can free it
-        logits = model._forward_after_first(first_output())
-    loss, dlogits = softmax_cross_entropy(logits, batch.labels)
+        return model.forward(x)
+    # made inside the call, so only the layers hold that output and can free it
+    return model._forward_after_first(first_output())
+
+
+def _finite(loss):
     if not np.isfinite(loss):
         raise NonFiniteError("forward pass produced a non-finite loss")
-    return loss, dlogits
+    return loss
 
 
 def forward_loss(model, batch, params, first_output=None):
@@ -339,7 +373,7 @@ def forward_loss(model, batch, params, first_output=None):
     keeps that output alive through the later layers.
     """
     model.bind(params)
-    return _loss_head(model, batch, first_output)[0]
+    return _finite(_nll(_logits(model, batch, first_output), batch.labels)[0])
 
 
 def backward(model, batch, params):
@@ -352,7 +386,8 @@ def backward(model, batch, params):
     """
     grad = np.zeros(model.param_count, dtype=np.float64)
     model.bind(params, grad)
-    loss, d = _loss_head(model, batch)
+    loss, d = softmax_cross_entropy(_logits(model, batch), batch.labels)
+    _finite(loss)
     first = model._layout[0][0] if model._layout else None
     for layer in reversed(model.layers):
         if layer is first:
@@ -406,6 +441,11 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     """Classic LeNet-5 topology with ReLU activations and 2x2 max pooling.
 
     conv(5x5) -> pool -> conv(5x5) -> pool -> flatten -> three dense layers.
+    Each stage pools before its ReLU, which then runs on a quarter of the
+    elements. The order is exact: ReLU is monotone, so relu(maxpool(x)) ==
+    maxpool(relu(x)) bit for bit, a window's first maximum is the routed
+    position whenever it is positive, and a window with no positive element
+    passes back zeros either way.
     28x28 inputs are zero-padded to 32x32 so the standard extents line up;
     conv_channels/fc_dims can be shrunk to make exhaustive gradient checks
     affordable.
@@ -418,12 +458,12 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     c1, c2 = conv_channels
     f1, f2 = fc_dims
     side = h
-    for stage_in, stage_out in ((cin, c1), (c1, c2)):  # conv(5x5) -> relu -> pool(2x2)
+    for stage_in, stage_out in ((cin, c1), (c1, c2)):  # conv(5x5) -> pool(2x2) -> relu
         side = side - 4
         if side < 2 or side % 2:
             raise ValueError(f"input shape {input_shape} does not fit the topology")
         side //= 2
-        layers += [Conv2d(stage_in, stage_out, 5), Relu(), MaxPool2()]
+        layers += [Conv2d(stage_in, stage_out, 5), MaxPool2(), Relu()]
     layers += [
         Flatten(),
         Dense(c2 * side * side, f1),

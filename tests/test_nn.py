@@ -475,10 +475,11 @@ def test_lenet5_cifar_variant_builds():
 
 @pytest.mark.parametrize("input_shape", [(1, 28, 28), (3, 32, 32)])
 def test_lenet5_layer_sequence(input_shape):
-    # perfbench names its per-layer metrics by position in this sequence
+    # perfbench names its per-layer metrics by position in this sequence;
+    # each stage pools before its ReLU
     pad = ["SpatialZeroPad"] if input_shape == (1, 28, 28) else []
     assert [type(layer).__name__ for layer in nn.build_lenet5(input_shape).layers] == pad + [
-        "Conv2d", "Relu", "MaxPool2", "Conv2d", "Relu", "MaxPool2",
+        "Conv2d", "MaxPool2", "Relu", "Conv2d", "MaxPool2", "Relu",
         "Flatten", "Dense", "Relu", "Dense", "Relu", "Dense",
     ]
 
@@ -486,6 +487,37 @@ def test_lenet5_layer_sequence(input_shape):
 def test_lenet5_rejects_impossible_extents():
     with pytest.raises(ValueError):
         nn.build_lenet5((1, 9, 9), 10)
+
+
+def relu_before_pool(layers):
+    """The layers with each MaxPool2, Relu pair put back in the order Relu, MaxPool2."""
+    layers = list(layers)
+    for i, layer in enumerate(layers[:-1]):
+        if isinstance(layer, nn.MaxPool2) and isinstance(layers[i + 1], nn.Relu):
+            layers[i], layers[i + 1] = layers[i + 1], layer
+    return layers
+
+
+@pytest.mark.parametrize("input_shape", [(1, 28, 28), (3, 32, 32)])
+def test_lenet5_stage_order_keeps_the_loss_and_gradient_bits(input_shape):
+    pooled_first = nn.build_lenet5(input_shape)
+    relu_first = nn.Model(relu_before_pool(nn.build_lenet5(input_shape).layers), input_shape)
+    names = [type(layer).__name__ for layer in relu_first.layers]
+    assert names[-12:-6] == ["Conv2d", "Relu", "MaxPool2", "Conv2d", "Relu", "MaxPool2"]
+    rng = Rng(53)
+    params = nn.init_params(pooled_first, rng)
+    (conv1, _), (conv2, _) = pooled_first._layout[:2]
+    # biases of both signs and exact zeros; on a blank image every window of
+    # a conv output holds its bias four times, so ties and zeros are exact
+    conv1.params[1][:] = [-0.2, 0.0, 0.1, -0.05, 0.3, 0.0]
+    conv2.params[1][:] = rng_uniform(rng, (16,), -0.1, 0.1)
+    x = rng_uniform(rng, (8, *input_shape), 0.0, 1.0)
+    x[::2] = 0.0
+    batch = Batch(np.arange(8), x, np.arange(8))
+    (loss, grad), (loss_ref, grad_ref) = (nn.backward(m, batch, params) for m in (pooled_first, relu_first))
+    assert loss == loss_ref
+    assert grad.tobytes() == grad_ref.tobytes()
+    assert np.any(grad[: conv1.params[0].size])  # the pass reached conv1
 
 
 # --- flat parameter view -----------------------------------------------------
@@ -614,6 +646,40 @@ def test_lenet5_probe_keeps_the_bits_of_a_forward_at_the_point(name):
             del layer.forward
         assert got == nn.forward_loss(model, batch, params - s * grad)
         _, grad = nn.backward(model, batch, params)  # the next probe follows a gradient pass
+
+
+@pytest.mark.parametrize("name", ["lenet5", "lenet5-conv-first"])
+def test_lenet5_probe_builds_no_pooling_code(name):
+    model, params, batch, grad = gradient_step(name)
+    pools = [layer for layer in model.layers if isinstance(layer, nn.MaxPool2)]
+    assert len(pools) == 2
+
+    def refuse(x):
+        raise AssertionError("a probe ran MaxPool2.forward, whose code only a backward reads")
+
+    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    for pool in pools:
+        pool.forward = refuse
+    losses = {s: probe(s) for s in (0.05, -0.05)}
+    for pool in pools:
+        del pool.forward
+    # the probes left nothing that a gradient pass reads
+    _, again = nn.backward(model, batch, params)
+    assert again.tobytes() == grad.tobytes()
+    for s, loss in losses.items():
+        assert loss == nn.forward_loss(model, batch, params - s * grad)
+
+
+@pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
+def test_forward_loss_keeps_the_bits_of_the_loss_with_its_gradient(name):
+    build, input_shape = SMALL_MODELS[name]
+    model = build()
+    rng = Rng(59)
+    params = 4.0 * nn.init_params(model, rng)  # logits far from uniform
+    batch = toy_batch(rng, 6, input_shape, 3)
+    model.bind(params)
+    logits = model.forward(batch.inputs.reshape(6, *input_shape))
+    assert nn.forward_loss(model, batch, params) == nn.softmax_cross_entropy(logits, batch.labels)[0]
 
 
 @pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
