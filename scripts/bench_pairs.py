@@ -10,11 +10,12 @@ not only with the code). REV is extracted into `parent/` with `git archive`
 (no worktree entry is left behind); `change/` is a copy of the working tree's
 tracked and untracked-but-not-ignored files as they stand, uncommitted edits
 included. Pair k of a workload runs `perfbench/run.py --workload W --seed
-SEED+k --seconds 35 --trace 0` (the run length perfbench and BENCHMARK.json
-are defined at) once on each side, the parent first in even pairs and the
-change first in odd ones. After a workload's pairs, one traced run per side
-(`--trace 1`, seed SEED, parent first) records perfbench's per-layer
-metrics. After every pair, traced or not, the output JSON is rewritten with:
+SEED+k --seconds S --trace 0` once on each side, S being BENCHMARK.json's
+`run_seconds` (the run length the benchmark is defined at), the parent first
+in even pairs and the change first in odd ones. After a workload's pairs,
+one traced run per side (`--trace 1`, seed SEED, parent first) records
+perfbench's per-layer metrics. After every pair, traced or not, the output
+JSON is rewritten with:
 
 - this invocation's command line, so the file can be made again;
 - each pair's seed, order, and both sides' six end-to-end metrics, `correct`,
@@ -28,6 +29,10 @@ metrics. After every pair, traced or not, the output JSON is rewritten with:
 - per workload, the traced pair: both sides' per-layer metrics, `correct`,
   `attempted` and `failed`, and each metric's relative change;
 - each side's `env:` line as perfbench printed it.
+
+If a perfbench run exits non-zero, the script ends with an `error:` naming
+the side, workload, seed and exit status, followed by the end of that run's
+stderr; the file keeps every pair finished before it.
 """
 
 import argparse
@@ -42,8 +47,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDE_COMMAND = ["perfbench/run.py", "--seconds", "35"]
 SIDES = ("parent", "change")  # names of equal length, so both trees have paths of one length
+STDERR_LINES = 20  # of a failed run, in the error
 
 
 def git(*args):
@@ -59,10 +64,14 @@ def copy_working_tree(dest):
             shutil.copy2(src, os.path.join(dest, rel))
 
 
-def run_side(tree, workload, seed, trace=0):
-    """One perfbench run in `tree`: (result JSON, env line)."""
-    cmd = [sys.executable, *SIDE_COMMAND, "--trace", str(trace), "--workload", workload, "--seed", str(seed)]
-    got = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+def run_side(tree, command, workload, seed, trace=0):
+    """One run of `command`, perfbench/run.py and its run length, in `tree`: (result JSON, env line)."""
+    cmd = [sys.executable, *command, "--trace", str(trace), "--workload", workload, "--seed", str(seed)]
+    got = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if got.returncode:
+        tail = "\n".join(got.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise SystemExit(f"error: {os.path.basename(tree)} side, {workload} seed {seed}: "
+                         f"perfbench exited with status {got.returncode}\n{tail}")
     lines = got.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith("env:"))
     return json.loads(lines[-1]), env
@@ -109,11 +118,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.plan)]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    spec = benchmark["end_to_end"]
+    command = ["perfbench/run.py", "--seconds", str(benchmark["run_seconds"])]
 
     record = {
         "command": shlex.join(["python3", "scripts/bench_pairs.py", *argv]),
-        "side_command": shlex.join([*SIDE_COMMAND, "--trace", "0|1", "--workload", "W", "--seed", "SEED"]),
+        "side_command": shlex.join([*command, "--trace", "0|1", "--workload", "W", "--seed", "SEED"]),
         "parent": git("rev-parse", args.parent).strip(),
         "change": "working tree at %s%s" % (
             git("rev-parse", "HEAD").strip(), " with uncommitted edits" if git("status", "--porcelain") else ""),
@@ -139,7 +150,7 @@ def main(argv=None):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], record["env"][side] = run_side(trees[side], workload, seed)
+                    pair[side], record["env"][side] = run_side(trees[side], command, workload, seed)
                 pairs.append(pair)
                 entry.update(pairs=pairs, summary=summarize(pairs, spec))
                 save()
@@ -148,7 +159,7 @@ def main(argv=None):
                       f"change {lqa['change']:.4g}", flush=True)
             traced = {"seed": args.seed}
             for side in SIDES:
-                traced[side], _ = run_side(trees[side], workload, args.seed, trace=1)
+                traced[side], _ = run_side(trees[side], command, workload, args.seed, trace=1)
             traced["change_rel"] = relative_changes(traced)
             entry["traced"] = traced
             save()

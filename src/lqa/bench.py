@@ -183,7 +183,13 @@ def run_training(config, clock=time.perf_counter, log=None):
         state = optim.LqaState()
     else:
         stepper = optim.make_baseline(config.optimizer, config.lr, params.size)
-    probes = []  # one entry per probe lqa_step makes, each one more forward pass
+    forwards = 0  # one per gradient pass and one per probe lqa_step makes
+
+    def counted(s):
+        nonlocal forwards
+        forwards += 1
+        return probe(s)
+
     records = []
     t0 = clock()
     try:
@@ -193,13 +199,12 @@ def run_training(config, clock=time.perf_counter, log=None):
             try:
                 for k, batch in enumerate(epoch_batches(), start=1):
                     loss, grad, probe = evaluate(batch, params)
+                    forwards += 1
                     if not math.isfinite(loss):
                         raise NonFiniteError(f"non-finite loss at epoch {epoch} step {k}")
                     loss_sum += loss
                     if config.optimizer == "lqa":
-                        # the probe it gets logs each call; append returns None
-                        optim.lqa_step(params, grad, loss,
-                                       lambda s: probes.append(s) or probe(s), state)
+                        optim.lqa_step(params, grad, loss, counted, state)
                         lr_used, verdict = state.delta0, state.last_verdict.value
                     else:
                         stepper.step(params, grad)
@@ -213,8 +218,7 @@ def run_training(config, clock=time.perf_counter, log=None):
                             epoch_loss=loss_sum / k,
                             lr_used=lr_used,
                             lqa_verdict=verdict,
-                            # one forward and one backward per gradient pass
-                            forward_count=step + len(probes),
+                            forward_count=forwards,
                             backward_count=step,
                             wall_time_s=clock() - t0,
                         )

@@ -141,6 +141,31 @@ def test_forward_count_counts_the_probes_lqa_step_makes(monkeypatch):
     assert all(r.forward_count == 4 * r.backward_count for r in recs)
 
 
+def test_counting_probes_holds_no_memory_per_probe(monkeypatch):
+    real_step = optim.lqa_step
+    extra = 0
+
+    def probing_more(params, grad, loss0, probe, state):
+        for _ in range(extra):
+            probe(0.5 * state.delta0)
+        return real_step(params, grad, loss0, probe, state)
+
+    monkeypatch.setattr(bench.optim, "lqa_step", probing_more)
+    run_training(quad_config(epochs=5), clock=FIXED_CLOCK)  # imports and caches, untraced
+    peaks = {}
+    for extra in (0, 10_000):
+        tracemalloc.start()
+        try:
+            recs = run_training(quad_config(epochs=5), clock=FIXED_CLOCK)
+            peaks[extra] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recs[-1].forward_count == (3 + extra) * recs[-1].backward_count
+    # a record of each probe would hold 50,000 of them by the last step, 8 B
+    # or more apiece
+    assert peaks[10_000] - peaks[0] < 50_000
+
+
 def test_log_reports_each_epoch_loss_and_last_rate(tmp_path):
     cfg = TrainConfig(
         model="logreg", dataset="mnist", optimizer="lqa", epochs=2, batch_size=64, seed=4,
