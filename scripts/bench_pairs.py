@@ -30,6 +30,9 @@ JSON is rewritten with:
   `attempted` and `failed`, and each metric's relative change;
 - each side's `env:` line as perfbench printed it.
 
+After each pair, one line on stdout gives the pair's relative change in each
+of the six end-to-end metrics, so a claim can be watched while the pairs run.
+
 If a perfbench run exits non-zero, the script ends with an `error:` naming
 the side, workload, seed and exit status, followed by the end of that run's
 stderr; the file keeps every pair finished before it.
@@ -101,6 +104,16 @@ def summarize(pairs, spec):
     return out
 
 
+def progress_line(workload, pair, spec):
+    """One pair's line: (change - parent) / parent for each end-to-end metric; n/a where the parent reads 0."""
+    parts = []
+    for metric in spec:
+        name = metric["name"]
+        parent, change = (pair[side]["metrics"][name]["value"] for side in SIDES)
+        parts.append(f"{name} {(change - parent) / parent:+.1%}" if parent else f"{name} n/a")
+    return f"{workload} seed {pair['seed']}: " + " ".join(parts)
+
+
 def relative_changes(traced):
     """(change - parent) / parent for each metric of the traced pair; None where the parent reads 0."""
     parent, change = (traced[side]["metrics"] for side in SIDES)
@@ -154,9 +167,7 @@ def main(argv=None):
                 pairs.append(pair)
                 entry.update(pairs=pairs, summary=summarize(pairs, spec))
                 save()
-                lqa = {side: pair[side]["metrics"]["lqa_step_ms"]["value"] for side in SIDES}
-                print(f"{workload} seed {seed}: lqa_step_ms parent {lqa['parent']:.4g} "
-                      f"change {lqa['change']:.4g}", flush=True)
+                print(progress_line(workload, pair, spec), flush=True)
             traced = {"seed": args.seed}
             for side in SIDES:
                 traced[side], _ = run_side(trees[side], command, workload, args.seed, trace=1)

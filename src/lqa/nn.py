@@ -34,7 +34,7 @@ declaration order (weights before bias), each raveled row-major.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import NonFiniteError, rng_uniform
+from .tensor import NonFiniteError, _fill_uniform
 
 __all__ = [
     "Layer",
@@ -404,7 +404,8 @@ def init_params(model, rng, scheme="default"):
     "default": each weight tensor uniform on [-r, r] with
     r = sqrt(6 / (fan_in + fan_out)); biases zero. "zeros": everything zero
     (kept because it is the degenerate-but-documented reproduction mode).
-    Draws happen in layer order, so a given rng state fixes the result.
+    Draws happen in layer order, so a given rng state fixes the result; each
+    weight's draws are written straight into its span of the vector.
     """
     if scheme not in ("default", "zeros"):
         raise ValueError(f"unknown init scheme {scheme!r}")
@@ -412,11 +413,11 @@ def init_params(model, rng, scheme="default"):
     model.bind(params)
     if scheme == "zeros":
         return params
-    for layer, _ in model._layout:
+    for layer, spans in model._layout:
         W = layer.params[0]
         # W is Dense's (in, out) or Conv2d's (out, in, k, k): fan_in + fan_out = (in + out) * W[0, 0].size
         r = np.sqrt(6.0 / ((W.shape[0] + W.shape[1]) * W[0, 0].size))
-        W[:] = rng_uniform(rng, W.shape, -r, r)
+        _fill_uniform(rng, params[spans[0][0]], -r, r)
     return params
 
 

@@ -11,6 +11,8 @@ by `make_baseline(...).step`.
 
 Updates run on one `BLOCK`-float slice at a time, each slice through all of
 its passes while it is in cache, with the bits of the whole-vector form.
+Nesterov, AdaGrad, RMSProp and Adam write their intermediate values into one
+or two block-sized work vectors instead of allocating them per slice.
 
 The seventh, `lqa_step`, picks its learning rate per batch step: it models
 the batch loss along the gradient direction as a quadratic in the step size,
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import NonFiniteError
+from .tensor import BLOCK, NonFiniteError
 
 __all__ = [
     "Verdict",
@@ -44,9 +46,6 @@ __all__ = [
     "lqa_step",
     "make_baseline",
 ]
-
-# floats per slice of an update (256 KB), small enough to stay in L2 for all of its passes
-BLOCK = 1 << 15
 
 
 def _check_grad(grad):
@@ -86,9 +85,11 @@ class _Baseline:
         if name == "adam":
             self.v = np.zeros(dim, dtype=np.float64)
             self.t = 0
-            # one block of scratch for Adam's update, which would otherwise
-            # allocate temporaries per block
-            self._work = np.empty(min(dim, BLOCK), dtype=np.float64)
+        # blocks of scratch for the updates that would otherwise allocate
+        # temporaries per block: one for Nesterov and Adam, two for the
+        # AdaGrad and RMSProp quotient
+        blocks = {"sgd-nag": 1, "adam": 1, "adagrad": 2, "rmsprop": 2}.get(name, 0)
+        self._work = np.empty((blocks, min(dim, BLOCK)), dtype=np.float64)
 
     def step(self, params, grad):
         """Update `params` in place from `grad` and return `params` itself.
@@ -111,22 +112,40 @@ class _Baseline:
             acc = None if self.acc is None else self.acc[s]
             if name == "sgd":
                 p -= lr * g
-            elif name in ("sgd-m", "sgd-nag"):
+            elif name == "sgd-m":
                 acc *= self.mu
                 acc += g
-                p -= lr * (g + self.mu * acc) if name == "sgd-nag" else lr * acc
-            elif name == "adagrad":
-                acc += g * g
-                p -= lr * g / (np.sqrt(acc) + self.eps)
-            elif name == "rmsprop":
-                acc *= self.rho
-                acc += (1.0 - self.rho) * g * g
-                p -= lr * g / (np.sqrt(acc) + self.eps)
+                p -= lr * acc
+            elif name == "sgd-nag":
+                # p -= lr * (g + mu*acc)
+                x = self._work[0, : p.size]
+                acc *= self.mu
+                acc += g
+                np.multiply(acc, self.mu, out=x)
+                x += g
+                x *= lr
+                p -= x
+            elif name in ("adagrad", "rmsprop"):
+                # acc += g*g, or acc = rho*acc + (1-rho)*g*g; then
+                # p -= lr*g / (sqrt(acc) + eps)
+                x, y = self._work[:, : p.size]
+                if name == "adagrad":
+                    np.multiply(g, g, out=x)
+                else:
+                    acc *= self.rho
+                    np.multiply(g, 1.0 - self.rho, out=x)
+                    x *= g
+                acc += x
+                np.sqrt(acc, out=x)
+                x += self.eps
+                np.multiply(g, lr, out=y)
+                y /= x
+                p -= y
             else:
                 # Kingma & Ba's params -= lr*m_hat / (sqrt(v_hat) + eps) in ten
                 # passes: acc = m/(1-b1) and v/(1-b2) accumulate g and g*g
                 # unweighted, and the bias corrections live in lr_t and eps_hat
-                v, work = self.v[s], self._work[: p.size]
+                v, work = self.v[s], self._work[0, : p.size]
                 acc *= b1
                 acc += g
                 v *= b2

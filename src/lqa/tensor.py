@@ -7,6 +7,11 @@ channel-major (c, n, h, w) memory, and Relu and MaxPool2 keep that layout.
 coefficient from a central second difference of nearly equal loss values,
 and that difference is unusably noisy in 32 bits. NaN and Inf surface as
 NonFiniteError instead of propagating.
+
+Random draws are made one `BLOCK` of values at a time, in place into the
+output (`nn.init_params` draws each weight straight into its span of the
+parameter vector), and give the same SplitMix64 stream bit for bit however a
+draw is split into calls or blocks.
 """
 
 import numpy as np
@@ -27,24 +32,36 @@ class NonFiniteError(ValueError):
 # Random source
 # ---------------------------------------------------------------------------
 
+# values per block of a draw or of an optimizer update (256 KB of uint64 or
+# float64), small enough to stay in L2 for all of the block's passes
+BLOCK = 1 << 15
+
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of SplitMix64
+_M64 = (1 << 64) - 1
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z):
-    """SplitMix64 finalizer on a uint64 array (Steele, Lea & Flood's mixer)."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, tmp):
+    """SplitMix64 finalizer (Steele, Lea & Flood's mixer), in place on the uint64 vector z.
+
+    tmp is scratch of z's size.
+    """
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def derive_seed(seed, stream):
     """Hash (seed, stream) into an independent 64-bit child seed."""
-    z = np.uint64((seed + (stream + 1) * _GAMMA) & 0xFFFFFFFFFFFFFFFF)
-    return int(_mix64(z.reshape(1))[0])
+    z = np.array([(seed + (stream + 1) * _GAMMA) & _M64], dtype=np.uint64)
+    _mix64(z, np.empty_like(z))
+    return int(z[0])
 
 
 class Rng:
@@ -55,32 +72,73 @@ class Rng:
     (xor-shift 30, mul 0xBF58476D1CE4E5B9, xor-shift 27, mul
     0x94D049BB133111EB, xor-shift 31). All arithmetic is modulo 2^64, so the
     stream is identical on every platform for a given seed. The counter form
-    lets blocks of outputs be generated vectorized.
+    lets outputs be made vectorized: every draw is made one `BLOCK` of values
+    at a time, in place in a work vector and then in its output, so a draw
+    makes no temporary longer than a block and yields the same stream however
+    it is split into calls or blocks.
     """
 
     def __init__(self, seed):
-        self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._seed = int(seed) & _M64
         self._drawn = 0
+
+    def _blocks(self, count):
+        """Yield (offset, block) over the next `count` raw outputs, in blocks of at most BLOCK.
+
+        Each block is drawn in place into one work vector, so it is valid
+        until the next one is drawn.
+        """
+        steps = np.arange(min(count, BLOCK), dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)  # j*GAMMA: a block's counter terms past its first
+        z, tmp = np.empty_like(steps), np.empty_like(steps)
+        for lo in range(0, count, BLOCK):
+            n = min(BLOCK, count - lo)
+            first = (self._seed + (self._drawn + 1) * _GAMMA) & _M64
+            np.add(steps[:n], np.uint64(first), out=z[:n])
+            _mix64(z[:n], tmp[:n])
+            self._drawn += n
+            yield lo, z[:n]
 
     def next_uint64(self, count):
         """The next `count` raw 64-bit outputs."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
-        self._drawn += count
-        base = np.uint64(self._seed)
-        gamma = np.uint64(_GAMMA)
-        return _mix64(base + idx * gamma)
+        out = np.empty(count, dtype=np.uint64)
+        for lo, z in self._blocks(count):
+            out[lo : lo + z.size] = z
+        return out
 
     def uniform(self, count):
         """`count` doubles uniform on [0, 1): top 53 bits scaled by 2**-53."""
-        bits = self.next_uint64(count)
-        return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return _fill_uniform(self, np.empty(count, dtype=np.float64))
 
     def permutation(self, n):
-        """A uniform permutation of range(n): stable argsort of 64-bit keys."""
-        keys = self.next_uint64(n)
-        return np.argsort(keys, kind="stable")
+        """A uniform permutation of range(n): the argsort of n 64-bit keys.
+
+        A call's keys are all distinct (mix64 is a bijection, and the counters
+        differ mod 2^64 because GAMMA is odd), so every sort, stable or not,
+        returns the same permutation.
+        """
+        return np.argsort(self.next_uint64(n))
+
+
+def _fill_uniform(rng, out, lo=0.0, hi=1.0):
+    """Write out.size draws on [lo, hi) into the flat float64 vector out, in place; return out.
+
+    Each block of draws is shifted, scaled and clamped as it is made:
+    ``u *= hi - lo; u += lo`` rounds exactly as ``lo + u*(hi - lo)``, the
+    clamp keeps the half-open box where that rounds up to hi, and with the
+    default box every step leaves u's bits as they are.
+    """
+    top = np.nextafter(hi, lo)
+    for start, z in rng._blocks(out.size):
+        u = out[start : start + z.size]
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0**-53, out=u)
+        u *= hi - lo
+        u += lo
+        np.minimum(u, top, out=u)
+    return out
 
 
 def rng_uniform(rng, shape, lo=0.0, hi=1.0):
@@ -89,10 +147,6 @@ def rng_uniform(rng, shape, lo=0.0, hi=1.0):
     hi = float(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    shape = (shape,) if np.isscalar(shape) else tuple(shape)
-    count = int(np.prod(shape)) if shape else 1
-    u = rng.uniform(count)
-    out = lo + u * (hi - lo)
-    # lo + u*(hi-lo) can round up to hi for u just below 1; the contract is [lo, hi)
-    out[out >= hi] = np.nextafter(hi, lo)
-    return out.reshape(shape)
+    out = np.empty(shape, dtype=np.float64)
+    _fill_uniform(rng, out.reshape(-1), lo, hi)
+    return out

@@ -52,6 +52,19 @@ def test_worse_than_bound_trips_just_past_the_bound(better, at_bound, past_bound
     assert summary(parent, [past_bound] * 4, better)["worse_than_bound"]
 
 
+def test_progress_line_gives_each_metrics_relative_change():
+    names = ["setup_s", "wall_s", "peak_rss_mb", "lqa_step_ms", "sgd_step_ms", "adam_step_ms"]
+    spec = [{"name": n, "unit": "ms", "better": "lower", "bound": 0.25} for n in names]
+    parent = dict(zip(names, [0.04, 12.0, 100.0, 30.0, 16.0, 0.0]))
+    change = dict(zip(names, [0.02, 12.3, 100.1, 30.0, 15.2, 1.0]))
+    pair = {"seed": 903, "first": "change"}
+    for side, values in (("parent", parent), ("change", change)):
+        pair[side] = {"metrics": {n: {"value": v} for n, v in values.items()}}
+    assert bench_pairs.progress_line("mlp-mnist", pair, spec) == (
+        "mlp-mnist seed 903: setup_s -50.0% wall_s +2.5% peak_rss_mb +0.1% "
+        "lqa_step_ms +0.0% sgd_step_ms -5.0% adam_step_ms n/a")
+
+
 def stub_tree(tmp_path, body):
     tree = tmp_path / "parent"
     (tree / "perfbench").mkdir(parents=True)

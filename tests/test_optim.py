@@ -467,6 +467,27 @@ def test_step_allocates_no_parameter_sized_temporary(name):
     assert _traced_peak(step) < params.nbytes / 4
 
 
+@pytest.mark.parametrize("name", ["sgd-nag", "adagrad", "rmsprop", "adam"])
+def test_work_vector_steps_allocate_no_block(name):
+    # these updates write every intermediate into their work vectors, so a
+    # step's peak is the gradient scan's one-byte-per-float mask (a quarter of
+    # a block here), freed before the update, plus far less than one block
+    dim, rng = 2 * BLOCK + 7, Rng(6)
+    params = rng_uniform(rng, (dim,), -1.0, 1.0)
+    grad = rng_uniform(rng, (dim,), -1.0, 1.0)
+    stepper = make_baseline(name, 0.01, dim)
+    assert _traced_peak(lambda: stepper.step(params, grad)) < dim + 8 * BLOCK / 4
+
+
+@pytest.mark.parametrize("name, blocks", [("sgd-nag", 1), ("adagrad", 2), ("rmsprop", 2)])
+def test_baseline_holds_one_parameter_sized_vector_and_its_work_blocks(name, blocks):
+    dim = 8 * BLOCK + 5
+    # the accumulator plus the work blocks; the slack covers the array and
+    # object headers, far less than another block
+    bound = 8 * (dim + blocks * BLOCK) + 4096
+    assert _traced_peak(lambda: make_baseline(name, 0.01, dim)) <= bound
+
+
 def test_adam_holds_two_parameter_sized_vectors_and_one_block():
     dim = 8 * BLOCK + 5
     # the two moments plus one block of scratch; the slack covers the array

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lqa.tensor import Rng, derive_seed, rng_uniform
+from lqa import nn
+from lqa.tensor import BLOCK, Rng, derive_seed, rng_uniform
 
 
 _M64 = (1 << 64) - 1
@@ -87,3 +90,63 @@ def test_derive_seed_separates_streams():
     seeds = {derive_seed(42, k) for k in range(16)}
     assert len(seeds) == 16
     assert derive_seed(42, 0) == derive_seed(42, 0)
+
+
+def test_permutation_equals_the_stable_argsort_of_its_keys():
+    # a call's keys are distinct, so the default sort and a stable one agree
+    for n in (1, 1024, 60000):
+        keys = Rng(n).next_uint64(n)
+        assert np.array_equal(Rng(n).permutation(n), np.argsort(keys, kind="stable")), n
+
+
+# --- draws made one block at a time ---------------------------------------------
+
+
+def test_next_uint64_across_blocks_matches_reference():
+    # two full blocks and a ragged third; the whole stream is compared, so
+    # the first, last and block-edge outputs are too
+    count = 2 * BLOCK + 7
+    got = Rng(77).next_uint64(count)
+    assert [int(v) for v in got] == splitmix64_reference(77, count)
+
+
+def test_a_stream_split_across_calls_equals_one_call():
+    rng = Rng(11)
+    parts = [rng.next_uint64(3), rng.next_uint64(2 * BLOCK), rng.next_uint64(5)]
+    assert np.array_equal(np.concatenate(parts), Rng(11).next_uint64(2 * BLOCK + 8))
+    rng = Rng(11)
+    parts = [rng.uniform(3), rng_uniform(rng, (2 * BLOCK,), -2.0, 3.0), rng.uniform(5)]
+    whole = Rng(11).uniform(2 * BLOCK + 8)
+    whole[3:-5] = -2.0 + whole[3:-5] * 5.0
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (1e7, 1e7 + 1e-9)])
+def test_rng_uniform_equals_the_whole_array_form_bitwise(lo, hi):
+    # the whole-array form: lo + u*(hi - lo) over every draw at once, then the
+    # values that rounded up to hi set to the largest double below it
+    count = 2 * BLOCK + 7
+    bits = np.array(splitmix64_reference(5, count), dtype=np.uint64)
+    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    ref = lo + u * (hi - lo)
+    clamped = ref >= hi
+    ref[clamped] = np.nextafter(hi, lo)
+    if lo == 1e7:
+        # hi is the next double above lo, so about half of the draws clamp
+        assert hi == np.nextafter(lo, np.inf) and clamped.mean() > 0.4
+    got = rng_uniform(Rng(5), (count,), lo, hi)
+    assert got.tobytes() == ref.tobytes()
+    assert got.max() < hi
+
+
+def test_init_params_holds_little_beyond_the_vector_it_returns():
+    # each weight's draws go straight into its span of the vector; the work
+    # vectors of the draw are three blocks, about 6% of the MLP's 14.4 MB
+    model = nn.build_mlp()
+    tracemalloc.start()
+    try:
+        params = nn.init_params(model, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * params.nbytes
