@@ -15,8 +15,9 @@ a CIFAR-shaped split: five 64-record data_batch_*.bin files drawn from
 default_rng(10), so they take the CIFAR loader and LeNet-5's 3-channel,
 unpadded conv path. Every run takes 2 epochs (batch 64, seed 7, lr 0.01 for the baselines) with a
 fixed clock, and the gate prints one `name-optimizer sha256` line per run.
-With --check FILE it compares against FILE, names each mismatch and exits 1
-if there is one.
+With --check FILE it compares against FILE, names each mismatch, ends with a
+`matched N/M` line (M counting the names in either) and exits 1 if there is
+a mismatch.
 
 The bytes depend on the BLAS build: csv_gate.sha256 holds the hashes from
 numpy 2.4.6 with scipy-openblas 0.3.31 on one thread. That is why the gate is
@@ -112,11 +113,12 @@ def main(argv=None):
         return 0
     with open(args.check) as f:
         expected = dict(line.split() for line in f if line.strip())
-    bad = sorted(name for name in expected.keys() | hashes.keys()
-                 if expected.get(name) != hashes.get(name))
+    names = expected.keys() | hashes.keys()
+    bad = sorted(name for name in names if expected.get(name) != hashes.get(name))
     for name in bad:
         print(f"MISMATCH {name}: got {hashes.get(name)}, expected {expected.get(name)}",
               file=sys.stderr)
+    print(f"matched {len(names) - len(bad)}/{len(names)}")
     return 1 if bad else 0
 
 

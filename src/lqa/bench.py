@@ -111,8 +111,8 @@ def _setup(config, rng):
     batch loss, its gradient and probe(s), the loss at params - s*grad. Each
     probe call counts as one forward pass; the run loop counts the calls. A
     model run allocates one scratch vector of params' shape, which every probe
-    of every step writes its point into, so probing allocates no
-    parameter-sized vector, and one float64 buffer of a whole number of
+    of every step writes the spans of its point it reads into, so probing
+    allocates no parameter-sized vector, and one float64 buffer of a whole number of
     batches, at most CHUNK_BYTES unless one batch is larger, and none when
     N < n. epoch_batches scales each chunk of every epoch's batches into it.
     """
@@ -209,6 +209,7 @@ def run_training(config, clock=time.perf_counter, log=None):
                     else:
                         stepper.step(params, grad)
                         lr_used, verdict = config.lr, ""
+                    del grad, probe  # else they keep this gradient alive through the next pass's
                     step = len(records) + 1
                     records.append(
                         MetricRecord(

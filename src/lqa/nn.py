@@ -5,7 +5,9 @@ cross-entropy head. A model holds the layout of its parameters, never their
 values: each pass binds the layers' weight tensors to reshaped views of the
 flat float64 vector it is given, so evaluating the loss at a new vector
 copies nothing. A gradient pass binds a fresh gradient vector of the same
-layout, which the weighted layers fill in place, and returns it.
+layout, which the weighted layers fill in place, and returns it; nothing in
+the model holds it after that, so a caller that drops it frees it before
+the next pass allocates its own.
 
 Each pass does only the work a caller reads. The gradient pass stops at the
 first weighted layer, which fills its parameter gradients but computes no
@@ -22,14 +24,22 @@ weighted layer, from what the step's gradient pass left there: Conv2d's
 columns, against which it multiplies the probe point's filters, or Dense's
 output, which is affine along the gradient ray. The layers before it, which
 see only the batch, do not run again. The layers after it run `infer`, which
-keeps nothing for a backward, and the head computes no logit gradient. It
-writes the parameters after that layer into a scratch vector the caller
-owns, so probing allocates no parameter-sized vector. It counts nothing: the
+keeps nothing for a backward, and the head computes no logit gradient. A
+Dense layer's batch gradient x0ᵀD has rank at most the batch size n, so
+x @ G + gb equals (x @ x0ᵀ + 1) @ D; on a model whose first weighted layer is
+Dense, every Dense layer takes its term along the ray in that Gram form when
+it takes fewer multiplies, and then reads no probe point. The probe writes
+the parameters that the other layers after the first read into a scratch
+vector the caller owns, so probing allocates no parameter-sized vector: on
+the MLP at batch 64, the last layer's 10,010 floats. It counts nothing: the
 training loop counts the probes the optimizer makes.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
 """
+
+import weakref
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,7 +78,8 @@ class Layer:
     return None, skipping the input gradient nobody reads below a model's
     first weighted layer. Their `ray(G, gb)` returns f(s), the output on the
     last forward's input at its weights moved to W - s*G and b - s*gb, from
-    what that forward kept; the loss probe reads it.
+    what that pass kept, G and gb being its own gradient's spans; the loss
+    probe reads it.
     """
 
     param_shapes = ()
@@ -81,32 +92,70 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: x @ W + b with W of shape (in, out).
 
-    Forward keeps its input, for backward, and its output, for `ray`. It
-    drops the last pass's output before computing the new one: with both
-    alive for a moment, an MLP LQA run's peak RSS read about 10 MB higher.
+    Forward keeps its input x0, for backward, and its output and weights, for
+    the probes; backward keeps the output gradient D it received. The batch
+    gradient G = x0ᵀD, gb = 1ᵀD has rank at most n, so for any x, x @ G + gb
+    equals (x @ x0ᵀ + 1) @ D, and `gram_pays` says when that Gram form takes
+    fewer multiplies. `ray` takes x0 @ G + gb in the cheaper form, and
+    `infer_along` a probe's output along the ray without the point's W - s*G.
+    `infer` keeps nothing, so a probe leaves x0 and D for the next one.
+    Forward drops the last pass's output before computing the new one: with
+    both alive for a moment, an MLP LQA run's peak RSS read about 10 MB higher.
     """
 
     def __init__(self, in_dim, out_dim):
         self.param_shapes = ((in_dim, out_dim), (out_dim,))
-        self._x = self._out = None
+        self._x = self._out = self._dout = None
+        self._weights = ()  # the last forward's (W, b), views of the vector it was bound to
 
     def forward(self, x):
         self._x = x
-        self._out = None  # free the last pass's output before the new one exists
-        W, b = self.params
+        self._out = self._dout = None  # free the last pass's output before the new one exists
+        self._weights = W, b = self.params
         self._out = x @ W + b
         return self._out
 
+    def infer(self, x):
+        W, b = self.params
+        return x @ W + b
+
+    def gram_pays(self):
+        """Whether (x @ x0ᵀ + 1) @ D, n*n*(in + out) multiplies, beats x @ G, n*in*out."""
+        din, dout = self.param_shapes[0]
+        return din * dout > len(self._x) * (din + dout)
+
+    def _gram(self, x):
+        """x @ G + gb for the last backward's G and gb, as (x @ x0ᵀ + 1) @ D."""
+        k = x @ self._x.T
+        k += 1.0
+        return k @ self._dout
+
     def ray(self, G, gb):
-        """Affine in s: z0 - s*(x @ G + gb), z0 the kept output; x @ G is taken here, once."""
-        z0, zg = self._out, self._x @ G + gb
+        """Affine in s: z0 - s*(x0 @ G + gb), z0 the kept output; the product is taken here, once."""
+        z0 = self._out
+        zg = self._gram(self._x) if self.gram_pays() else self._x @ G + gb
         return lambda s: z0 - s * zg
+
+    def infer_along(self, x, s):
+        """The output on x at the last forward's weights moved to W - s*G and b - s*gb.
+
+        Computed as x @ W + b - s*(x @ x0ᵀ + 1) @ D, so it reads neither the
+        bound params nor a point; like `infer`, it keeps nothing.
+        """
+        W, b = self._weights
+        out = x @ W
+        out += b
+        zg = self._gram(x)
+        zg *= s
+        out -= zg
+        return out
 
     def backward(self, dout, input_grad=True):
         W, _ = self.params
         gW, gb = self.grads
         np.matmul(self._x.T, dout, out=gW)
         np.sum(dout, axis=0, out=gb)
+        self._dout = dout
         return dout @ W.T if input_grad else None
 
 
@@ -306,7 +355,7 @@ class Model:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self._layout = []  # (layer, ((slice, shape), ...)) for each weighted layer
-        self._grad_pass = None  # (batch, params) while the layers hold that gradient pass's state
+        self._grad_pass = None  # (batch, params, weakref(grad)) while the layers hold that pass's state
         offset = 0
         for layer in self.layers:
             spans = []
@@ -335,26 +384,29 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def _forward_after_first(self, z):
-        """Logits from z, the first weighted layer's output; the layers up to it do not run.
+    def _forward_along(self, along):
+        """Logits from the first weighted layer on; the layers before it do not run.
 
-        No backward follows, so the layers after it run `infer`.
+        along[layer](x) is a layer's output on input x; the first weighted
+        layer's entry is called with None. The other layers run `infer`, since
+        no backward follows.
         """
-        for layer in self.layers[self.layers.index(self._layout[0][0]) + 1 :]:
-            z = layer.infer(z)
+        first = self._layout[0][0]
+        z = along[first](None)  # made here, so only the layers hold it and can free it
+        for layer in self.layers[self.layers.index(first) + 1 :]:
+            z = along[layer](z) if layer in along else layer.infer(z)
         return z
 
 
-def _logits(model, batch, first_output=None):
+def _logits(model, batch, along=None):
     """The model's logits on the batch, at whatever params are bound."""
     n = len(batch.labels)
     if n == 0:
         raise ValueError("batch is empty")
-    if first_output is None:
+    if along is None:
         x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
         return model.forward(x)
-    # made inside the call, so only the layers hold that output and can free it
-    return model._forward_after_first(first_output())
+    return model._forward_along(along)
 
 
 def _finite(loss):
@@ -363,17 +415,19 @@ def _finite(loss):
     return loss
 
 
-def forward_loss(model, batch, params, first_output=None):
+def forward_loss(model, batch, params, along=None):
     """Mean batch NLL at the given parameter vector, which is only read.
 
-    With `first_output`, a function returning the first weighted layer's
-    output on this batch, the pass starts after that layer: the layers up to
-    it do not run, their span of `params` is not read, and model._grad_pass
-    stays. The function is called as the pass begins, so that no caller
-    keeps that output alive through the later layers.
+    With `along`, a dict from weighted layers to functions that give the
+    layer's output on this batch from its input, the pass starts at the first
+    weighted layer, which the dict must hold: the layers before it do not run,
+    and its function is called with None as the pass begins, so that no
+    caller keeps that output alive through the later layers. A later layer in
+    the dict runs its function in place of `infer`. The span of `params` of a
+    layer in the dict is not read, and model._grad_pass stays.
     """
     model.bind(params)
-    return _finite(_nll(_logits(model, batch, first_output), batch.labels)[0])
+    return _finite(_nll(_logits(model, batch, along), batch.labels)[0])
 
 
 def backward(model, batch, params):
@@ -392,9 +446,11 @@ def backward(model, batch, params):
     for layer in reversed(model.layers):
         if layer is first:
             layer.backward(d, input_grad=False)
-            model._grad_pass = (batch, params)
+            model._grad_pass = (batch, params, weakref.ref(grad))  # the caller owns grad
             break
         d = layer.backward(d)
+    for layer, _ in model._layout:
+        layer.grads = ()  # no view of grad outlives the pass
     return loss, grad
 
 
@@ -485,34 +541,46 @@ def make_loss_probe(model, batch, params, grad, scratch):
     reads what the gradient pass kept: Conv2d multiplies W - s*G against its
     columns, with every bit of a forward at the point; Dense returns z0 -
     s*(x @ G + gb), which reorders a forward's arithmetic. The layers before
-    it do not run. The call writes the parameters after that layer, params -
-    s*grad with the bits of the out-of-place expression, into `scratch`, a
-    vector of params' shape that the caller owns and that aliases neither
-    `params` nor `grad`, and runs the rest of the model through forward_loss.
+    it do not run. On a model whose first weighted layer is Dense, a later
+    Dense layer for which `gram_pays` runs `infer_along`, which reads the
+    gradient pass's weights and no point: on the MLP at batch 64, the
+    1000x1000 layer. The call writes the spans of the point params - s*grad
+    that the other later layers read, with the bits of the out-of-place
+    expression, into `scratch`, a vector of params' shape that the caller
+    owns and that aliases neither `params` nor `grad`, and runs the rest of
+    the model through forward_loss.
 
     Building the probe computes nothing and keeps nothing alive; the one-off
-    work (Dense's x @ G) runs at the first call. Building raises ValueError
-    unless the model's last full forward was the gradient pass at this very
-    `batch` and `params` object, and a call raises it once the model has run
-    another full forward: in both cases the first layer's kept state belongs
-    to another pass. `params` must not change in place before the last call.
+    work (Dense's x @ G + gb) runs at the first call. Building raises
+    ValueError unless the model's last full forward was the gradient pass at
+    this very `batch` and `params` object, which returned this very `grad`,
+    and a call raises it once the model has run another full forward: in
+    both cases the layers' kept state belongs to another pass. `params` must
+    not change in place before the last call.
     """
-    first, spans = model._layout[0]
-    rest = slice(spans[-1][0].stop, None)
     grad_pass = model._grad_pass
-    if grad_pass is None or grad_pass[0] is not batch or grad_pass[1] is not params:
-        raise ValueError("a probe must follow the gradient pass at its batch and params")
-    along = None
+    if (grad_pass is None or grad_pass[0] is not batch or grad_pass[1] is not params
+            or grad_pass[2]() is not grad):
+        raise ValueError("a probe must follow the gradient pass at its batch and params, with its gradient")
+    (first, spans), later = model._layout[0], model._layout[1:]
+    # a Dense-first probe already reorders a forward's arithmetic; LeNet-5's keeps its bits
+    gram = [layer for layer, _ in later if layer.gram_pays()] if isinstance(first, Dense) else []
+    # the spans of the point that the other later layers read
+    reads = [slice(sp[0][0].start, sp[-1][0].stop) for layer, sp in later if layer not in gram]
+    first_ray = None
 
     def probe(s):
-        nonlocal along
+        nonlocal first_ray
         if model._grad_pass is not grad_pass:
             raise ValueError("the model ran a forward pass since this probe was made")
-        if along is None:
-            along = first.ray(*(grad[sl].reshape(shape) for sl, shape in spans))
+        if first_ray is None:
+            first_ray = first.ray(*(grad[sl].reshape(shape) for sl, shape in spans))
         s = float(s)
-        np.multiply(grad[rest], s, out=scratch[rest])
-        np.subtract(params[rest], scratch[rest], out=scratch[rest])
-        return forward_loss(model, batch, scratch, lambda: along(s))
+        for r in reads:
+            np.multiply(grad[r], s, out=scratch[r])
+            np.subtract(params[r], scratch[r], out=scratch[r])
+        along = {layer: partial(layer.infer_along, s=s) for layer in gram}
+        along[first] = lambda x: first_ray(s)
+        return forward_loss(model, batch, scratch, along)
 
     return probe

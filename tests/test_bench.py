@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +165,27 @@ def test_counting_probes_holds_no_memory_per_probe(monkeypatch):
     # a record of each probe would hold 50,000 of them by the last step, 8 B
     # or more apiece
     assert peaks[10_000] - peaks[0] < 50_000
+
+
+@pytest.mark.parametrize("opt", ["lqa", "sgd"])
+def test_each_gradient_is_freed_before_the_next_pass(tmp_path, monkeypatch, opt):
+    # the loop's names, the probe and the layers must let go of a step's
+    # gradient, so that a gradient pass never holds two
+    data_dir = make_tiny_mnist(tmp_path)
+    real_backward = nn.backward
+    last, alive = [], []
+
+    def tracked(model, batch, params):
+        alive.append(bool(last) and last[-1]() is not None)
+        loss, grad = real_backward(model, batch, params)
+        last.append(weakref.ref(grad))
+        return loss, grad
+
+    monkeypatch.setattr(nn, "backward", tracked)
+    cfg = TrainConfig(model="mlp", dataset="mnist", optimizer=opt, lr=0.01, epochs=1,
+                      batch_size=64, seed=4, data_dir=str(data_dir))
+    assert len(run_training(cfg, clock=FIXED_CLOCK)) == len(alive) == 3
+    assert not any(alive)
 
 
 def test_log_reports_each_epoch_loss_and_last_rate(tmp_path):

@@ -702,16 +702,47 @@ def test_probe_refuses_state_another_forward_left(name):
     assert nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))(0.1) == probe_value
 
 
-@pytest.mark.parametrize("name", ["logreg", "lenet5"])
+@pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
 def test_probe_refuses_params_or_batch_other_than_the_gradient_pass(name):
-    # the first layer's kept state is the gradient pass's, at its own batch and params
+    # the layers' kept state is the gradient pass's, at its own batch and
+    # params, and a Dense layer's Gram form reads that pass's gradient
     model, params, batch, grad = gradient_step(name)
     other_batch = toy_batch(Rng(48), len(batch.labels), SMALL_MODELS[name][1], 3)
-    for p, b in ((params.copy(), batch), (params, other_batch)):
+    for p, b, g in ((params.copy(), batch, grad), (params, other_batch, grad), (params, batch, grad.copy())):
         with pytest.raises(ValueError):
-            nn.make_loss_probe(model, b, p, grad, np.empty_like(params))
+            nn.make_loss_probe(model, b, p, g, np.empty_like(params))
     probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
     assert probe(0.05) == probe(0.05)
+
+
+@pytest.mark.parametrize("n, gram_layers", [(8, 3), (16, 2)])
+def test_dense_probe_along_the_gram_matrix_matches_a_forward_at_the_point(n, gram_layers):
+    # 100-400-400-10: at batch 8 every layer takes the Gram form, at batch 16
+    # the last, 400x10, writes its span of the point and reads it
+    model = nn.build_mlp(100, 400, 10)
+    rng = Rng(13)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, n, (100,), 10)
+    _, grad = nn.backward(model, batch, params)
+    assert sum(layer.gram_pays() for layer, _ in model._layout) == gram_layers
+    written = np.zeros(params.size, dtype=bool)
+    for layer, spans in model._layout[gram_layers:]:
+        written[spans[0][0].start : spans[-1][0].stop] = True
+    values = {}
+    for order in ((0.05, -0.05), (-0.05, 0.05)):
+        scratch = np.full_like(params, np.nan)
+        probe = nn.make_loss_probe(model, batch, params, grad, scratch)
+        got = [probe(s) for s in order + order]
+        assert got[:2] == got[2:]  # twice, the same values
+        values[order] = dict(zip(order, got))
+        # the probes write only the spans the layers after the Gram ones read
+        assert np.isnan(scratch[~written]).all()
+        assert np.isfinite(scratch[written]).all()
+    assert values[(0.05, -0.05)] == values[(-0.05, 0.05)]  # in either order, the same values
+    for s, loss in values[(0.05, -0.05)].items():
+        assert math.isfinite(loss)
+        at_point = nn.forward_loss(model, batch, params - s * grad)
+        assert abs(loss - at_point) <= 1e-12 * abs(at_point)
 
 
 def test_building_a_probe_allocates_nothing_batch_sized():
@@ -748,6 +779,28 @@ def test_probe_and_backward_allocate_no_parameter_sized_temporary():
     _, grad = nn.backward(model, batch, params)
     # a gradient pass allocates the gradient it returns, and nothing near its size
     assert traced_peak(lambda: nn.backward(model, batch, params)) / params.nbytes < 1.25
-    # built after the last gradient pass, whose state it starts from
+    # built after the last gradient pass, whose state and gradient it starts from
+    _, grad = nn.backward(model, batch, params)
     probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
     assert traced_peak(lambda: probe(0.05)) / params.nbytes < 0.25
+
+
+def test_a_gradient_pass_holds_one_gradient_once_the_caller_drops_the_last():
+    model = nn.build_mlp(100, 400, 10)
+    rng = Rng(12)
+    params = nn.init_params(model, rng)
+    batch = toy_batch(rng, 2, (100,), 10)
+    scratch = np.empty_like(params)
+    tracemalloc.start()
+    try:
+        _, grad = nn.backward(model, batch, params)
+        probe = nn.make_loss_probe(model, batch, params, grad, scratch)
+        probe(0.05)
+        # neither the layers, nor the model, nor anything a probe left keeps it
+        del grad, probe
+        tracemalloc.reset_peak()
+        nn.backward(model, batch, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / params.nbytes < 1.25
