@@ -26,12 +26,16 @@ JSON is rewritten with:
   parent, whether that is worse than the metric's bound, and whether the
   gain rule holds: at least nine tenths of the pairs won and the medians
   apart by more than the parent's interquartile range;
+- per workload, under the summary's `runs`, each side's failed and
+  attempted runs summed over the pairs, and its pairs that were not
+  `correct`;
 - per workload, the traced pair: both sides' per-layer metrics, `correct`,
   `attempted` and `failed`, and each metric's relative change;
 - each side's `env:` line as perfbench printed it.
 
 After each pair, one line on stdout gives the pair's relative change in each
-of the six end-to-end metrics, so a claim can be watched while the pairs run.
+of the six end-to-end metrics, so a claim can be watched while the pairs run;
+after a workload's pairs, one line gives each side's run counts.
 
 If a perfbench run exits non-zero, the script ends with an `error:` naming
 the side, workload, seed and exit status, followed by the end of that run's
@@ -104,6 +108,20 @@ def summarize(pairs, spec):
     return out
 
 
+def run_counts(pairs):
+    """Per side: failed and attempted runs summed over the pairs, and the pairs whose side was not correct."""
+    return {side: {"failed": sum(p[side]["failed"] for p in pairs),
+                   "attempted": sum(p[side]["attempted"] for p in pairs),
+                   "not_correct": sum(not p[side]["correct"] for p in pairs)} for side in SIDES}
+
+
+def counts_line(workload, counts):
+    """One workload's line: each side's failed/attempted runs and its pairs that were not correct."""
+    return f"{workload} runs: " + "; ".join(
+        f"{side} failed {c['failed']}/{c['attempted']}, {c['not_correct']} pairs not correct"
+        for side, c in counts.items())
+
+
 def progress_line(workload, pair, spec):
     """One pair's line: (change - parent) / parent for each end-to-end metric; n/a where the parent reads 0."""
     parts = []
@@ -165,9 +183,10 @@ def main(argv=None):
                 for side in order:
                     pair[side], record["env"][side] = run_side(trees[side], command, workload, seed)
                 pairs.append(pair)
-                entry.update(pairs=pairs, summary=summarize(pairs, spec))
+                entry.update(pairs=pairs, summary={**summarize(pairs, spec), "runs": run_counts(pairs)})
                 save()
                 print(progress_line(workload, pair, spec), flush=True)
+            print(counts_line(workload, entry["summary"]["runs"]), flush=True)
             traced = {"seed": args.seed}
             for side in SIDES:
                 traced[side], _ = run_side(trees[side], command, workload, args.seed, trace=1)

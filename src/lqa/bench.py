@@ -110,11 +110,9 @@ def _setup(config, rng):
     iterable of one epoch's batches; evaluate(batch, params) returns the
     batch loss, its gradient and probe(s), the loss at params - s*grad. Each
     probe call counts as one forward pass; the run loop counts the calls. A
-    model run allocates one scratch vector of params' shape, which every probe
-    of every step writes the spans of its point it reads into, so probing
-    allocates no parameter-sized vector, and one float64 buffer of a whole number of
-    batches, at most CHUNK_BYTES unless one batch is larger, and none when
-    N < n. epoch_batches scales each chunk of every epoch's batches into it.
+    model run allocates one float64 buffer of a whole number of batches, at
+    most CHUNK_BYTES unless one batch is larger, and none when N < n.
+    epoch_batches scales each chunk of every epoch's batches into it.
     """
     if config.dataset == "synthetic-quadratic":
         objective = data_mod.synthetic_quadratic(QUAD_DIM, derive_seed(config.seed, 0))
@@ -145,7 +143,6 @@ def _setup(config, rng):
     else:
         model = nn.build_lenet5(image_shape, train.classes)
     params = nn.init_params(model, rng, config.init)
-    scratch = np.empty_like(params)
     # one buffer for every chunk of every epoch: a fresh one per chunk would
     # coexist with the last chunk's, which Dense._x and the last probe keep
     # alive. It holds the whole epoch when that fits in CHUNK_BYTES.
@@ -156,7 +153,7 @@ def _setup(config, rng):
 
     def evaluate(batch, params):
         loss, grad = nn.backward(model, batch, params)
-        return loss, grad, nn.make_loss_probe(model, batch, params, grad, scratch)
+        return loss, grad, nn.make_loss_probe(model, batch, params, grad)
 
     def epoch():
         return data_mod.epoch_batches(train, n, rng, epoch_inputs)
@@ -519,7 +516,7 @@ def check_coefficient_identity():
 
     def rel_err(d0):
         state = optim.LqaState(delta0=d0)
-        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+        probe = nn.make_loss_probe(model, batch, params, grad)
         optim.lqa_step(params.copy(), grad, loss0, probe, state)
         return abs(state.a - gg) / gg
 

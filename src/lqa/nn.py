@@ -21,25 +21,25 @@ contiguous memory, and it keeps one column buffer at a time.
 The loss probe, which the probe-based optimizer calls twice per batch step,
 redoes no work that is the same at every step size. It starts at the first
 weighted layer, from what the step's gradient pass left there: Conv2d's
-columns, against which it multiplies the probe point's filters, or Dense's
-output, which is affine along the gradient ray. The layers before it, which
-see only the batch, do not run again. The layers after it run `infer`, which
-keeps nothing for a backward, and the head computes no logit gradient. A
-Dense layer's batch gradient x0ᵀD has rank at most the batch size n, so
-x @ G + gb equals (x @ x0ᵀ + 1) @ D; on a model whose first weighted layer is
-Dense, every Dense layer takes its term along the ray in that Gram form when
-it takes fewer multiplies, and then reads no probe point. The probe writes
-the parameters that the other layers after the first read into a scratch
-vector the caller owns, so probing allocates no parameter-sized vector: on
-the MLP at batch 64, the last layer's 10,010 floats. It counts nothing: the
-training loop counts the probes the optimizer makes.
+columns, against which it multiplies the filters moved along the gradient
+ray, or Dense's output, which is affine along the ray. The layers before it,
+which see only the batch, do not run again. Each weighted layer takes its
+own output along the ray with `along`, from the gradient pass's parameters
+and gradient, and the other layers run `infer`, which keeps nothing for a
+backward; the head computes no logit gradient. A Dense layer's batch
+gradient x0ᵀD has rank at most the batch size n, so x @ G + gb equals
+(x @ x0ᵀ + 1) @ D; on a model whose first weighted layer is Dense, every
+Dense layer takes its term along the ray in that Gram form when it takes
+fewer multiplies, and then builds no moved weights. A probe writes no
+parameter-sized vector: on the MLP at batch 64, the last layer's 10,010
+moved weights are its only ones. It counts nothing: the training loop
+counts the probes the optimizer makes.
 
 Flat ordering is fixed: layers in forward order, then each layer's tensors in
 declaration order (weights before bias), each raveled row-major.
 """
 
 import weakref
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,10 +76,11 @@ class Layer:
     The weighted layers, Dense and Conv2d, set param_shapes (weight first),
     and their backward takes `input_grad`: with False they fill grads and
     return None, skipping the input gradient nobody reads below a model's
-    first weighted layer. Their `ray(G, gb)` returns f(s), the output on the
-    last forward's input at its weights moved to W - s*G and b - s*gb, from
-    what that pass kept, G and gb being its own gradient's spans; the loss
-    probe reads it.
+    first weighted layer. Their `along(x, s, G, gb)` returns the output on x
+    at the bound weights moved to W - s*G and b - s*gb, G and gb being the
+    gradient pass's own gradient spans; x None means that pass's own input,
+    whose output the layer takes from what the pass kept. The loss probe
+    calls it.
     """
 
     param_shapes = ()
@@ -92,26 +93,27 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: x @ W + b with W of shape (in, out).
 
-    Forward keeps its input x0, for backward, and its output and weights, for
-    the probes; backward keeps the output gradient D it received. The batch
+    Forward keeps its input x0, for backward, and its output, for the
+    probes; backward keeps the output gradient D it received. The batch
     gradient G = x0ᵀD, gb = 1ᵀD has rank at most n, so for any x, x @ G + gb
     equals (x @ x0ᵀ + 1) @ D, and `gram_pays` says when that Gram form takes
-    fewer multiplies. `ray` takes x0 @ G + gb in the cheaper form, and
-    `infer_along` a probe's output along the ray without the point's W - s*G.
-    `infer` keeps nothing, so a probe leaves x0 and D for the next one.
+    fewer multiplies and `gram`, which the model sets, allows it. `along`
+    keeps only zg = x0 @ G + gb, taken once per gradient pass, so a probe
+    leaves x0 and D for the next one.
     Forward drops the last pass's output before computing the new one: with
     both alive for a moment, an MLP LQA run's peak RSS read about 10 MB higher.
     """
 
+    gram = True
+
     def __init__(self, in_dim, out_dim):
         self.param_shapes = ((in_dim, out_dim), (out_dim,))
-        self._x = self._out = self._dout = None
-        self._weights = ()  # the last forward's (W, b), views of the vector it was bound to
+        self._x = self._out = self._dout = self._zg = None
 
     def forward(self, x):
         self._x = x
-        self._out = self._dout = None  # free the last pass's output before the new one exists
-        self._weights = W, b = self.params
+        self._out = self._dout = self._zg = None  # free the last pass's output before the new one exists
+        W, b = self.params
         self._out = x @ W + b
         return self._out
 
@@ -120,9 +122,9 @@ class Dense(Layer):
         return x @ W + b
 
     def gram_pays(self):
-        """Whether (x @ x0ᵀ + 1) @ D, n*n*(in + out) multiplies, beats x @ G, n*in*out."""
+        """Whether the Gram form is allowed and (x @ x0ᵀ + 1) @ D, n*n*(in + out) multiplies, beats x @ G, n*in*out."""
         din, dout = self.param_shapes[0]
-        return din * dout > len(self._x) * (din + dout)
+        return self.gram and din * dout > len(self._x) * (din + dout)
 
     def _gram(self, x):
         """x @ G + gb for the last backward's G and gb, as (x @ x0ᵀ + 1) @ D."""
@@ -130,19 +132,20 @@ class Dense(Layer):
         k += 1.0
         return k @ self._dout
 
-    def ray(self, G, gb):
-        """Affine in s: z0 - s*(x0 @ G + gb), z0 the kept output; the product is taken here, once."""
-        z0 = self._out
-        zg = self._gram(self._x) if self.gram_pays() else self._x @ G + gb
-        return lambda s: z0 - s * zg
+    def along(self, x, s, G, gb):
+        """The output on x at W - s*G and b - s*gb; x None is the gradient pass's own input.
 
-    def infer_along(self, x, s):
-        """The output on x at the last forward's weights moved to W - s*G and b - s*gb.
-
-        Computed as x @ W + b - s*(x @ x0ᵀ + 1) @ D, so it reads neither the
-        bound params nor a point; like `infer`, it keeps nothing.
+        That input's output is affine in s, z0 - s*zg with z0 the kept output.
+        Another x takes x @ W + b - s*(x @ x0ᵀ + 1) @ D where the Gram form
+        pays, else x @ (W - s*G) + (b - s*gb), a forward's bits at the point.
         """
-        W, b = self._weights
+        if x is None:
+            if self._zg is None:
+                self._zg = self._gram(self._x) if self.gram_pays() else self._x @ G + gb
+            return self._out - s * self._zg
+        W, b = self.params
+        if not self.gram_pays():
+            return x @ (W - s * G) + (b - s * gb)
         out = x @ W
         out += b
         zg = self._gram(x)
@@ -182,9 +185,10 @@ class Conv2d(Layer):
     against the output gradient laid out (cout, oh, ow, n) and adds each
     kernel offset's (cin, oh, ow, n) slab of column gradients into a (cin, h,
     w, n) buffer (col2im), so each add writes runs of ow*n floats; the input
-    gradient is an (n, cin, h, w) view of it. Its
-    `ray` multiplies the last forward's filters, moved along the ray, against
-    the kept columns, with a forward's bits; the output itself is not kept.
+    gradient is an (n, cin, h, w) view of it. `along` multiplies the filters
+    moved along the ray against the kept columns, or against columns of a
+    probe's x that replace them as a forward's would, with a forward's bits
+    at the point; the output itself is not kept.
     """
 
     def __init__(self, in_channels, out_channels, kernel=5):
@@ -194,9 +198,19 @@ class Conv2d(Layer):
         self.param_shapes = ((out_channels, in_channels, kernel, kernel), (out_channels,))
         self._cols = None
         self._xshape = None
-        self._weights = ()  # the last forward's (W, b), views of the vector it was bound to
 
     def forward(self, x):
+        self._im2col(x)
+        return self._product(*self.params)
+
+    def along(self, x, s, G, gb):
+        if x is not None:
+            self._im2col(x)
+        W, b = self.params
+        return self._product(W - s * G, b - s * gb)
+
+    def _im2col(self, x):
+        """Keep x's columns and shape, in place of the last pass's."""
         n, cin, h, w = x.shape
         if cin != self.cin:
             raise ValueError(f"expected {self.cin} input channels, got {cin}")
@@ -208,12 +222,6 @@ class Conv2d(Layer):
         windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, cin, oh, ow, k, k)
         self._cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * k * k, -1)
         self._xshape = x.shape
-        self._weights = self.params
-        return self._product(*self._weights)
-
-    def ray(self, G, gb):
-        W, b = self._weights
-        return lambda s: self._product(W - s * G, b - s * gb)
 
     def _product(self, W, b):
         """The (n, cout, oh, ow) output of filters W and bias b on the kept columns."""
@@ -315,7 +323,8 @@ class SpatialZeroPad(Layer):
 
     def backward(self, dout):
         p = self.pad
-        return dout[:, :, p:-p, p:-p].copy()
+        h, w = dout.shape[2:]
+        return dout[:, :, p : h - p, p : w - p].copy()
 
 
 def _nll(logits, labels):
@@ -366,6 +375,11 @@ class Model:
             if spans:
                 self._layout.append((layer, tuple(spans)))
         self.param_count = offset
+        # a Dense-first probe already reorders a forward's arithmetic; LeNet-5's keeps its bits
+        dense_first = bool(self._layout) and isinstance(self._layout[0][0], Dense)
+        for layer, _ in self._layout:
+            if isinstance(layer, Dense):
+                layer.gram = dense_first
 
     def bind(self, params, grads=None):
         """Point each layer's params (and grads, when given) at views of these flat vectors."""
@@ -384,29 +398,38 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def _forward_along(self, along):
-        """Logits from the first weighted layer on; the layers before it do not run.
+    def _check_pass(self, batch, params, grad):
+        """Raise ValueError unless the layers hold the gradient pass at batch and params that returned grad."""
+        p = self._grad_pass
+        if p is None or p[0] is not batch or p[1] is not params or p[2]() is not grad:
+            raise ValueError("the model's last forward was not the gradient pass at this batch and params, "
+                             "which returned this gradient")
 
-        along[layer](x) is a layer's output on input x; the first weighted
-        layer's entry is called with None. The other layers run `infer`, since
-        no backward follows.
+    def _along(self, grad, s):
+        """Logits at the bound params moved to params - s*grad, from the gradient pass's state.
+
+        The pass starts at the first weighted layer, whose `along` is called
+        with None: the layers before it do not run. Each weighted layer runs
+        `along` with its spans of grad, the others `infer`, since no backward
+        follows.
         """
-        first = self._layout[0][0]
-        z = along[first](None)  # made here, so only the layers hold it and can free it
-        for layer in self.layers[self.layers.index(first) + 1 :]:
-            z = along[layer](z) if layer in along else layer.infer(z)
+        spans = dict(self._layout)
+        z = None
+        for layer in self.layers[self.layers.index(self._layout[0][0]) :]:
+            if layer in spans:
+                z = layer.along(z, s, *(grad[sl].reshape(shape) for sl, shape in spans[layer]))
+            else:
+                z = layer.infer(z)
         return z
 
 
-def _logits(model, batch, along=None):
+def _logits(model, batch):
     """The model's logits on the batch, at whatever params are bound."""
     n = len(batch.labels)
     if n == 0:
         raise ValueError("batch is empty")
-    if along is None:
-        x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
-        return model.forward(x)
-    return model._forward_along(along)
+    x = np.asarray(batch.inputs, dtype=np.float64).reshape((n, *model.input_shape))
+    return model.forward(x)
 
 
 def _finite(loss):
@@ -415,19 +438,21 @@ def _finite(loss):
     return loss
 
 
-def forward_loss(model, batch, params, along=None):
+def forward_loss(model, batch, params, ray=None):
     """Mean batch NLL at the given parameter vector, which is only read.
 
-    With `along`, a dict from weighted layers to functions that give the
-    layer's output on this batch from its input, the pass starts at the first
-    weighted layer, which the dict must hold: the layers before it do not run,
-    and its function is called with None as the pass begins, so that no
-    caller keeps that output alive through the later layers. A later layer in
-    the dict runs its function in place of `infer`. The span of `params` of a
-    layer in the dict is not read, and model._grad_pass stays.
+    With `ray=(grad, s)`, the NLL at params - s*grad, taken from the state
+    that the gradient pass nn.backward(model, batch, params), which returned
+    grad, left in the layers: the pass starts at the first weighted layer,
+    each weighted layer runs `along`, and model._grad_pass stays. It raises
+    ValueError unless the model's last full forward was that pass, at this
+    very batch and params object, which returned this very grad.
     """
+    if ray is not None:
+        model._check_pass(batch, params, ray[0])
     model.bind(params)
-    return _finite(_nll(_logits(model, batch, along), batch.labels)[0])
+    logits = _logits(model, batch) if ray is None else model._along(ray[0], float(ray[1]))
+    return _finite(_nll(logits, batch.labels)[0])
 
 
 def backward(model, batch, params):
@@ -532,55 +557,27 @@ def build_lenet5(input_shape=(1, 28, 28), classes=10, conv_channels=(6, 16), fc_
     return Model(layers, input_shape)
 
 
-def make_loss_probe(model, batch, params, grad, scratch):
+def make_loss_probe(model, batch, params, grad):
     """Probe(s) = mean batch loss at params - s*grad, without touching `params`.
 
     Build it right after the gradient pass nn.backward(model, batch, params)
-    that returned `grad`. Each call starts at the model's first weighted layer
-    and takes that layer's output at the probe point from its `ray`, which
-    reads what the gradient pass kept: Conv2d multiplies W - s*G against its
-    columns, with every bit of a forward at the point; Dense returns z0 -
-    s*(x @ G + gb), which reorders a forward's arithmetic. The layers before
-    it do not run. On a model whose first weighted layer is Dense, a later
-    Dense layer for which `gram_pays` runs `infer_along`, which reads the
-    gradient pass's weights and no point: on the MLP at batch 64, the
-    1000x1000 layer. The call writes the spans of the point params - s*grad
-    that the other later layers read, with the bits of the out-of-place
-    expression, into `scratch`, a vector of params' shape that the caller
-    owns and that aliases neither `params` nor `grad`, and runs the rest of
-    the model through forward_loss.
+    that returned `grad`; a call is forward_loss(model, batch, params, (grad,
+    s)). It starts at the model's first weighted layer, whose output at the
+    point comes from what the gradient pass kept: Conv2d multiplies W - s*G
+    against its columns, with every bit of a forward at the point; Dense
+    returns z0 - s*(x0 @ G + gb), which reorders a forward's arithmetic. The
+    layers before it do not run. On a model whose first weighted layer is
+    Dense, a later Dense layer for which `gram_pays` takes its term through
+    the batch Gram matrix and builds no moved weights: on the MLP at batch
+    64, the 1000x1000 layer. Every other later weighted layer runs on its
+    weights moved to the point, with a forward's bits.
 
     Building the probe computes nothing and keeps nothing alive; the one-off
-    work (Dense's x @ G + gb) runs at the first call. Building raises
-    ValueError unless the model's last full forward was the gradient pass at
-    this very `batch` and `params` object, which returned this very `grad`,
-    and a call raises it once the model has run another full forward: in
-    both cases the layers' kept state belongs to another pass. `params` must
-    not change in place before the last call.
+    work (Dense's x0 @ G + gb) runs at the first call. Building and calling
+    run the same check and raise ValueError unless the model's last full
+    forward was the gradient pass at this very `batch` and `params` object,
+    which returned this very `grad`: otherwise the layers' kept state belongs
+    to another pass. `params` must not change in place before the last call.
     """
-    grad_pass = model._grad_pass
-    if (grad_pass is None or grad_pass[0] is not batch or grad_pass[1] is not params
-            or grad_pass[2]() is not grad):
-        raise ValueError("a probe must follow the gradient pass at its batch and params, with its gradient")
-    (first, spans), later = model._layout[0], model._layout[1:]
-    # a Dense-first probe already reorders a forward's arithmetic; LeNet-5's keeps its bits
-    gram = [layer for layer, _ in later if layer.gram_pays()] if isinstance(first, Dense) else []
-    # the spans of the point that the other later layers read
-    reads = [slice(sp[0][0].start, sp[-1][0].stop) for layer, sp in later if layer not in gram]
-    first_ray = None
-
-    def probe(s):
-        nonlocal first_ray
-        if model._grad_pass is not grad_pass:
-            raise ValueError("the model ran a forward pass since this probe was made")
-        if first_ray is None:
-            first_ray = first.ray(*(grad[sl].reshape(shape) for sl, shape in spans))
-        s = float(s)
-        for r in reads:
-            np.multiply(grad[r], s, out=scratch[r])
-            np.subtract(params[r], scratch[r], out=scratch[r])
-        along = {layer: partial(layer.infer_along, s=s) for layer in gram}
-        along[first] = lambda x: first_ray(s)
-        return forward_loss(model, batch, scratch, along)
-
-    return probe
+    model._check_pass(batch, params, grad)
+    return lambda s: forward_loss(model, batch, params, (grad, s))

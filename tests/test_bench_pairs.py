@@ -89,3 +89,22 @@ def test_a_failed_side_ends_with_its_stderr(tmp_path):
     msg = str(exc.value)
     assert msg.startswith("error: parent side, mlp-mnist seed 901: perfbench exited with status 1\n")
     assert "run failed: lqa seed 901: diverged\nno round finished without a failed run" in msg
+
+
+def test_run_counts_sum_each_sides_failed_and_attempted_runs_over_the_pairs(tmp_path):
+    # the stub's result reads its counts off the seed: seed 902 failed 2 of 23 runs
+    tree = stub_tree(tmp_path, (
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "print('env: numpy x')\n"
+        "print(json.dumps({'correct': seed != 902, 'attempted': 21 + seed - 900, 'failed': 2 * (seed == 902)}))\n"
+    ))
+    pairs = []
+    for parent_seed, change_seed in ((901, 902), (902, 903)):
+        pairs.append({"parent": bench_pairs.run_side(tree, COMMAND, "mlp-mnist", parent_seed)[0],
+                      "change": bench_pairs.run_side(tree, COMMAND, "mlp-mnist", change_seed)[0]})
+    counts = bench_pairs.run_counts(pairs)
+    assert counts == {"parent": {"failed": 2, "attempted": 22 + 23, "not_correct": 1},
+                      "change": {"failed": 2, "attempted": 23 + 24, "not_correct": 1}}
+    assert bench_pairs.counts_line("mlp-mnist", counts) == (
+        "mlp-mnist runs: parent failed 2/45, 1 pairs not correct; change failed 2/47, 1 pairs not correct")

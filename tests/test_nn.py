@@ -146,6 +146,7 @@ def test_logreg_gradient_matches_closed_form():
         (lambda: nn.Conv2d(2, 3, 3), (2, 2, 6, 6)),
         (lambda: nn.MaxPool2(), (2, 3, 4, 4)),
         (lambda: nn.SpatialZeroPad(2), (2, 1, 4, 4)),
+        (lambda: nn.SpatialZeroPad(0), (2, 1, 4, 4)),
         (lambda: nn.Flatten(), (2, 3, 4, 4)),
     ],
 )
@@ -592,7 +593,7 @@ def test_probe_evaluates_every_point_and_leaves_inputs_untouched():
     _, grad = nn.backward(model, batch, params)
     params_before = params.copy()
     grad_before = grad.copy()
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     shifted = probe(0.05)
     assert probe(0.05) == shifted  # pure: same input, same value
     # the logits are affine along the ray: z0 - s*(x @ G + gb)
@@ -638,7 +639,7 @@ def test_lenet5_probe_keeps_the_bits_of_a_forward_at_the_point(name):
         raise AssertionError("a probe reran the layers up to conv1")
 
     for s in (0.05, -0.05):
-        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+        probe = nn.make_loss_probe(model, batch, params, grad)
         for layer in upto_conv1:
             layer.forward = refuse
         got = probe(s)
@@ -657,7 +658,7 @@ def test_lenet5_probe_builds_no_pooling_code(name):
     def refuse(x):
         raise AssertionError("a probe ran MaxPool2.forward, whose code only a backward reads")
 
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     for pool in pools:
         pool.forward = refuse
     losses = {s: probe(s) for s in (0.05, -0.05)}
@@ -685,21 +686,25 @@ def test_forward_loss_keeps_the_bits_of_the_loss_with_its_gradient(name):
 @pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
 def test_probe_refuses_state_another_forward_left(name):
     model, params, batch, grad = gradient_step(name)
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     probe_value = probe(0.1)
+    # the probe is the ray form of forward_loss, bit for bit
+    assert nn.forward_loss(model, batch, params, (grad, 0.1)) == probe_value
     nn.forward_loss(model, batch, params + 1.0)  # the first layer now keeps this pass's state
     with pytest.raises(ValueError):
         probe(0.1)
+    with pytest.raises(ValueError):  # nor the ray form it calls
+        nn.forward_loss(model, batch, params, (grad, 0.1))
     with pytest.raises(ValueError):  # nor may a probe be built on that state
-        nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+        nn.make_loss_probe(model, batch, params, grad)
     # another gradient pass at the very same batch and params objects also
     # replaces that state: only a probe built after it may run
     _, grad = nn.backward(model, batch, params)
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     _, grad = nn.backward(model, batch, params)
     with pytest.raises(ValueError):
         probe(0.1)
-    assert nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))(0.1) == probe_value
+    assert nn.make_loss_probe(model, batch, params, grad)(0.1) == probe_value
 
 
 @pytest.mark.parametrize("name", ["logreg", "mlp", "lenet5"])
@@ -710,34 +715,30 @@ def test_probe_refuses_params_or_batch_other_than_the_gradient_pass(name):
     other_batch = toy_batch(Rng(48), len(batch.labels), SMALL_MODELS[name][1], 3)
     for p, b, g in ((params.copy(), batch, grad), (params, other_batch, grad), (params, batch, grad.copy())):
         with pytest.raises(ValueError):
-            nn.make_loss_probe(model, b, p, g, np.empty_like(params))
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+            nn.make_loss_probe(model, b, p, g)
+        with pytest.raises(ValueError):
+            nn.forward_loss(model, b, p, (g, 0.05))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     assert probe(0.05) == probe(0.05)
+    assert nn.forward_loss(model, batch, params, (grad, 0.05)) == probe(0.05)
 
 
 @pytest.mark.parametrize("n, gram_layers", [(8, 3), (16, 2)])
 def test_dense_probe_along_the_gram_matrix_matches_a_forward_at_the_point(n, gram_layers):
     # 100-400-400-10: at batch 8 every layer takes the Gram form, at batch 16
-    # the last, 400x10, writes its span of the point and reads it
+    # the last, 400x10, runs on its weights moved to the point
     model = nn.build_mlp(100, 400, 10)
     rng = Rng(13)
     params = nn.init_params(model, rng)
     batch = toy_batch(rng, n, (100,), 10)
     _, grad = nn.backward(model, batch, params)
     assert sum(layer.gram_pays() for layer, _ in model._layout) == gram_layers
-    written = np.zeros(params.size, dtype=bool)
-    for layer, spans in model._layout[gram_layers:]:
-        written[spans[0][0].start : spans[-1][0].stop] = True
     values = {}
     for order in ((0.05, -0.05), (-0.05, 0.05)):
-        scratch = np.full_like(params, np.nan)
-        probe = nn.make_loss_probe(model, batch, params, grad, scratch)
+        probe = nn.make_loss_probe(model, batch, params, grad)
         got = [probe(s) for s in order + order]
         assert got[:2] == got[2:]  # twice, the same values
         values[order] = dict(zip(order, got))
-        # the probes write only the spans the layers after the Gram ones read
-        assert np.isnan(scratch[~written]).all()
-        assert np.isfinite(scratch[written]).all()
     assert values[(0.05, -0.05)] == values[(-0.05, 0.05)]  # in either order, the same values
     for s, loss in values[(0.05, -0.05)].items():
         assert math.isfinite(loss)
@@ -749,10 +750,9 @@ def test_building_a_probe_allocates_nothing_batch_sized():
     # a baseline run builds a probe every step and never calls it
     model, params, batch, grad = gradient_step("lenet5", n=16)
     cols_nbytes = 25 * 16 * 28 * 28 * 8  # conv1's columns: 1*5*5 rows of 16*28*28
-    scratch = np.empty_like(params)
     tracemalloc.start()
     try:
-        nn.make_loss_probe(model, batch, params, grad, scratch)
+        nn.make_loss_probe(model, batch, params, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,7 +781,7 @@ def test_probe_and_backward_allocate_no_parameter_sized_temporary():
     assert traced_peak(lambda: nn.backward(model, batch, params)) / params.nbytes < 1.25
     # built after the last gradient pass, whose state and gradient it starts from
     _, grad = nn.backward(model, batch, params)
-    probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+    probe = nn.make_loss_probe(model, batch, params, grad)
     assert traced_peak(lambda: probe(0.05)) / params.nbytes < 0.25
 
 
@@ -790,11 +790,10 @@ def test_a_gradient_pass_holds_one_gradient_once_the_caller_drops_the_last():
     rng = Rng(12)
     params = nn.init_params(model, rng)
     batch = toy_batch(rng, 2, (100,), 10)
-    scratch = np.empty_like(params)
     tracemalloc.start()
     try:
         _, grad = nn.backward(model, batch, params)
-        probe = nn.make_loss_probe(model, batch, params, grad, scratch)
+        probe = nn.make_loss_probe(model, batch, params, grad)
         probe(0.05)
         # neither the layers, nor the model, nor anything a probe left keeps it
         del grad, probe

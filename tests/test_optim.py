@@ -529,7 +529,7 @@ def test_first_coefficient_identity_on_logreg_batch():
     errors = []
     for d0 in (1e-2, 5e-3, 2.5e-3):
         state = LqaState(delta0=d0)
-        probe = nn.make_loss_probe(model, batch, params, grad, np.empty_like(params))
+        probe = nn.make_loss_probe(model, batch, params, grad)
         lqa_step(params.copy(), grad, loss0, probe, state)
         errors.append(abs(state.a - gg))
     assert errors[0] / gg < 1e-3
