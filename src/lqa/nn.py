@@ -97,17 +97,17 @@ class Dense(Layer):
     probes; backward keeps the output gradient D it received. The batch
     gradient G = x0ᵀD, gb = 1ᵀD has rank at most n, so for any x, x @ G + gb
     equals (x @ x0ᵀ + 1) @ D, and `gram_pays` says when that Gram form takes
-    fewer multiplies and `gram`, which the model sets, allows it. `along`
+    fewer multiplies and `gram` allows it: False until a Dense-first model
+    sets it, so a layer on its own keeps a forward's bits. `along`
     keeps only zg = x0 @ G + gb, taken once per gradient pass, so a probe
     leaves x0 and D for the next one.
     Forward drops the last pass's output before computing the new one: with
     both alive for a moment, an MLP LQA run's peak RSS read about 10 MB higher.
     """
 
-    gram = True
-
     def __init__(self, in_dim, out_dim):
         self.param_shapes = ((in_dim, out_dim), (out_dim,))
+        self.gram = False
         self._x = self._out = self._dout = self._zg = None
 
     def forward(self, x):
